@@ -9,7 +9,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/coupled_experiment.h"
 #include "core/experiment.h"
 #include "sim/scenario_block.h"
 #include "sim/sweep.h"
@@ -62,12 +61,16 @@ struct ReplayCollector {
 
 namespace {
 
+// A size or slew the flow can use: NaN and +inf fail here, not deep inside
+// characterization or the breakpoint solve.
+bool positive_finite(double x) { return std::isfinite(x) && x > 0.0; }
+
 void validate(const Request& r) {
   auto reject = [&](const std::string& why) {
     throw InvalidRequestError("api::Engine: request '" + r.label + "': " + why);
   };
-  if (!(r.cell_size > 0.0)) reject("cell size must be positive");
-  if (!(r.input_slew > 0.0)) reject("input slew must be positive");
+  if (!positive_finite(r.cell_size)) reject("cell size must be positive and finite");
+  if (!positive_finite(r.input_slew)) reject("input slew must be positive and finite");
   if (r.coupled()) {
     if (!r.net.empty()) reject("both net and coupled group set");
     if (r.victim >= r.group.size()) {
@@ -84,8 +87,12 @@ void validate(const Request& r) {
         reject("duplicate aggressor for net '" + r.group.label_at(a.net) + "'");
       }
       seen[a.net] = true;
-      if (!(a.cell_size > 0.0)) reject("aggressor cell size must be positive");
-      if (!(a.input_slew > 0.0)) reject("aggressor input slew must be positive");
+      if (!positive_finite(a.cell_size)) {
+        reject("aggressor cell size must be positive and finite");
+      }
+      if (!positive_finite(a.input_slew)) {
+        reject("aggressor input slew must be positive and finite");
+      }
     }
   } else {
     if (!r.aggressors.empty()) reject("aggressors without a coupled group");
@@ -98,7 +105,6 @@ void validate(const Request& r) {
     reject("keep_waveforms needs the reference simulation or far_end_replay");
   }
   if (r.far_end_replay) {
-    if (r.coupled()) reject("far_end_replay is a single-net replay");
     if (r.reference) {
       reject("far_end_replay is redundant with the reference simulation "
              "(which already replays the far end)");
@@ -134,23 +140,64 @@ lint::Report run_lint(const Request& request, const tech::Technology& technology
                            : lint::lint_net(request.net, checks);
 }
 
-// Maps a coupled api::Request onto the core experiment case: the aggressor
-// list (indexed by group net, victim slot ignored) defaults every unnamed
-// net to a quiet neighbor.
-core::CoupledExperimentCase coupled_case(const Request& r) {
-  core::CoupledExperimentCase scenario;
+// Maps a request onto the core experiment case: a single net becomes the
+// one-net group, and the aggressor list (indexed by group net, victim slot
+// ignored) defaults every unnamed net to a quiet neighbor.
+core::ExperimentCase experiment_case(const Request& r) {
+  core::ExperimentCase scenario;
   scenario.label = r.label;
-  scenario.group = r.group;
-  scenario.victim = r.victim;
   scenario.driver_size = r.cell_size;
   scenario.input_slew = r.input_slew;
-  core::AggressorDrive unnamed;  // core defaults, held quiet
-  unnamed.switching = core::AggressorSwitching::quiet;
-  scenario.aggressors.assign(r.group.size(), unnamed);
+  if (!r.coupled()) {
+    scenario.group = net::CoupledGroup::single(r.net);
+    return scenario;
+  }
+  scenario.group = r.group;
+  scenario.victim = r.victim;
+  scenario.aggressors.assign(r.group.size(), core::AggressorDrive{});
   for (const Aggressor& a : r.aggressors) {
     scenario.aggressors[a.net] = {a.cell_size, a.input_slew, a.switching};
   }
   return scenario;
+}
+
+// The net the paper flow runs on.  A single net is borrowed as written (the
+// fast tiers never copy it); a group contributes its Miller-decoupled victim
+// and, when any aggressor switches, the quiet (1x) victim net that anchors
+// the pushout estimate.
+struct FlowNets {
+  const net::Net* single = nullptr;
+  net::Net miller;
+  std::optional<net::Net> quiet;
+
+  const net::Net& net() const { return single != nullptr ? *single : miller; }
+};
+
+FlowNets flow_nets(const Request& r) {
+  FlowNets nets;
+  if (!r.coupled()) {
+    nets.single = &r.net;
+    return nets;
+  }
+  std::vector<double> factors(r.group.size(), 1.0);
+  for (const Aggressor& a : r.aggressors) {
+    factors[a.net] = core::miller_factor(a.switching);
+  }
+  nets.miller = r.group.decoupled_net(r.victim, factors);
+  // With all-quiet aggressors the Miller net is the quiet net: the pushout
+  // is exactly zero, no second estimate needed.
+  if (!std::all_of(factors.begin(), factors.end(), [](double f) { return f == 1.0; })) {
+    nets.quiet = r.group.decoupled_net(r.victim);
+  }
+  return nets;
+}
+
+// A response stamped with the request's identity.
+Response start_response(const Request& r) {
+  Response response;
+  response.label = r.label;
+  response.has_coupling = r.coupled();
+  return response;
 }
 
 // The Ceff iterations report non-convergence via their converged flags; the
@@ -178,10 +225,10 @@ core::EdgeMetrics measure_model(const core::DriverOutputModel& m, double vdd) {
   return {e.t50, e.transition_10_90()};
 }
 
-// The replay deck a model-only far_end_replay slot runs: the modeled PWL
-// shifted into absolute deck time (the model's t = 0 is the input 50 %
-// crossing, analytically t_start + slew/2 for a saturated ramp input), a
-// horizon auto-sized exactly like the reference harness, and the
+// The replay deck a model-only far_end_replay slot runs through its flow net:
+// the modeled PWL shifted into absolute deck time (the model's t = 0 is the
+// input 50 % crossing, analytically t_start + slew/2 for a saturated ramp
+// input), a horizon auto-sized like the reference harness, and the
 // dominant-path leaf to measure.
 struct ReplayPlan {
   wave::Pwl source;
@@ -190,9 +237,10 @@ struct ReplayPlan {
   double input_time_50 = 0.0;
 };
 
-ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& options,
+ReplayPlan plan_far_end_replay(const Request& request, const net::Net& net,
+                               const BatchOptions& options,
                                const core::DriverOutputModel& model) {
-  const net::NetMetrics metrics = request.net.metrics();
+  const net::NetMetrics metrics = net.metrics();
   ReplayPlan plan;
   plan.input_time_50 = options.deck.t_start + 0.5 * request.input_slew;
   plan.deck = options.deck;
@@ -211,12 +259,11 @@ ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& optio
 // limited): identical construction and measurement to the batched path, so
 // BatchOptions::batch_scenarios on/off is a bitwise no-op on the numbers.
 void run_replay_inline(const tech::Technology& technology, const Request& request,
-                       const ReplayPlan& plan, util::ExecTracker* budget,
-                       Response& response) {
+                       const net::Net& net, const ReplayPlan& plan,
+                       util::ExecTracker* budget, Response& response) {
   tech::DeckOptions deck = plan.deck;
   deck.sim.budget = budget;
-  const tech::NetSimResult replay =
-      tech::simulate_source_net(plan.source, request.net, deck);
+  const tech::NetSimResult replay = tech::simulate_source_net(plan.source, net, deck);
   const wave::Waveform& far = replay.leaves.at(plan.dominant_leaf);
   response.model_far =
       core::measure_edge(far, technology.vdd, plan.input_time_50);
@@ -286,92 +333,24 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
   deck.sim.budget = budget;
   deck.sim.solver = request.solver;
 
-  Response response;
-  response.label = request.label;
+  Response response = start_response(request);
   response.diagnostics = std::move(diagnostics);
 
-  if (request.coupled()) {
-    response.has_coupling = true;
-    if (request.reference) {
-      core::CoupledExperimentOptions opt;
-      opt.deck = deck;
-      opt.grid = options.grid;
-      opt.model = model_opt;
-      opt.include_far_end = request.far_end;
-      opt.include_noise = request.noise;
-      opt.keep_waveforms = request.keep_waveforms;
-
-      core::CoupledExperimentResult r = core::run_coupled_experiment(
-          technology_, library_, coupled_case(request), opt);
-      // The pushout estimate leans on the quiet-baseline model too; a
-      // non-converged baseline must fail the slot like the primary model.
-      check_convergence(request, r.model_base);
-      response.model = std::move(r.model);
-      response.model_near = r.model_near;
-      response.has_reference = true;
-      response.ref_near = r.ref_near;
-      response.ref_far = r.ref_far;
-      response.model_far = r.model_far;
-      response.has_model_far = request.far_end;
-      response.base_near = r.base_near;
-      response.base_far = r.base_far;
-      response.delay_pushout = r.delay_pushout;
-      response.delay_pushout_model = r.delay_pushout_model;
-      response.peak_noise = r.peak_noise;
-      response.input_time_50 = r.input_time_50;
-      response.has_solver = true;
-      response.solver = r.solver;
-      response.ref_near_wave = std::move(r.ref_near_wave);
-      response.ref_far_wave = std::move(r.ref_far_wave);
-    } else {
-      // Model-only coupled path: the paper's flow on the Miller-decoupled
-      // victim plus the quiet-environment model for the pushout estimate.
-      // (No core case is built here — the factors come straight from the
-      // aggressor list, nets without an entry staying quiet at 1x.)
-      const charlib::CharacterizedDriver& driver =
-          library_.ensure_driver(technology_, request.cell_size, options.grid);
-      std::vector<double> factors(request.group.size(), 1.0);
-      for (const Aggressor& a : request.aggressors) {
-        factors[a.net] = core::miller_factor(a.switching);
-      }
-      response.model = core::model_driver_output(
-          driver, request.input_slew,
-          request.group.decoupled_net(request.victim, factors), model_opt);
-      response.model_near = measure_model(response.model, technology_.vdd);
-      // With all-quiet aggressors the Miller net is the quiet net: the
-      // pushout is exactly zero, no second Ceff run needed.
-      const bool all_quiet = std::all_of(factors.begin(), factors.end(),
-                                         [](double f) { return f == 1.0; });
-      if (!all_quiet) {
-        const core::DriverOutputModel base = core::model_driver_output(
-            driver, request.input_slew,
-            request.group.decoupled_net(request.victim), model_opt);
-        check_convergence(request, base);
-        response.delay_pushout_model =
-            response.model_near.delay - measure_model(base, technology_.vdd).delay;
-      }
-    }
-    check_convergence(request, response.model);
-    return response;
-  }
-
   if (request.reference) {
-    core::ExperimentCase scenario;
-    scenario.label = request.label;
-    scenario.driver_size = request.cell_size;
-    scenario.input_slew = request.input_slew;
-    scenario.net = request.net;
-
     core::ExperimentOptions opt;
     opt.deck = deck;
     opt.grid = options.grid;
     opt.model = model_opt;
     opt.include_far_end = request.far_end;
     opt.include_one_ramp = request.one_ramp_baseline;
+    opt.include_noise = request.noise;
     opt.keep_waveforms = request.keep_waveforms;
 
     core::ExperimentResult r =
-        core::run_experiment(technology_, library_, scenario, opt);
+        core::run_experiment(technology_, library_, experiment_case(request), opt);
+    // The pushout estimate leans on the quiet-baseline model too; a
+    // non-converged baseline must fail the slot like the primary model.
+    check_convergence(request, r.model_base);
     response.model = std::move(r.model);
     response.model_near = r.model_near;
     response.has_reference = true;
@@ -381,43 +360,60 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
     response.has_model_far = request.far_end;
     response.one_near = r.one_near;
     response.one_ramp = std::move(r.one_ramp);
+    response.base_near = r.base_near;
+    response.base_far = r.base_far;
+    response.delay_pushout = r.delay_pushout;
+    response.delay_pushout_model = r.delay_pushout_model;
+    response.peak_noise = r.peak_noise;
     response.ref_near_wave = std::move(r.ref_near_wave);
     response.ref_far_wave = std::move(r.ref_far_wave);
     response.model_far_wave = std::move(r.model_far_wave);
     response.input_time_50 = r.input_time_50;
     response.has_solver = true;
     response.solver = r.solver;
-  } else {
-    const charlib::CharacterizedDriver& driver =
-        library_.ensure_driver(technology_, request.cell_size, options.grid);
-    response.model = core::model_driver_output(driver, request.input_slew,
-                                               request.net, model_opt);
-    response.model_near = measure_model(response.model, technology_.vdd);
-    if (request.far_end_replay) {
-      // Fail a non-converged model *before* planning or enqueueing its
-      // replay, so a slot that fails here leaves nothing behind to patch.
-      check_convergence(request, response.model);
-      ReplayPlan plan = plan_far_end_replay(request, options, response.model);
-      // Slots with a wall-clock limit or an enabled degrade policy never
-      // defer: the deadline/ladder semantics are tied to the slot's own
-      // attempt sequence, and deferral would move work past both.
-      const bool defer = collector != nullptr && !request.degrade.enabled &&
-                         request.budget.wall_limit_s <= 0.0;
-      if (defer) {
-        ReplayJob job;
-        job.slot = slot;
-        job.label = request.label;
-        job.net = request.net;
-        job.source = std::move(plan.source);
-        job.deck = plan.deck;
-        job.dominant_leaf = plan.dominant_leaf;
-        job.input_time_50 = plan.input_time_50;
-        job.keep_waveforms = request.keep_waveforms;
-        collector->add(std::move(job));
-        response.input_time_50 = plan.input_time_50;
-      } else {
-        run_replay_inline(technology_, request, plan, budget, response);
-      }
+    check_convergence(request, response.model);
+    return response;
+  }
+
+  // Model-only: the paper's flow on the flow net, plus the quiet-environment
+  // model for a coupled victim's pushout estimate.
+  const FlowNets nets = flow_nets(request);
+  const charlib::CharacterizedDriver& driver =
+      library_.ensure_driver(technology_, request.cell_size, options.grid);
+  response.model =
+      core::model_driver_output(driver, request.input_slew, nets.net(), model_opt);
+  response.model_near = measure_model(response.model, technology_.vdd);
+  if (nets.quiet) {
+    const core::DriverOutputModel base =
+        core::model_driver_output(driver, request.input_slew, *nets.quiet, model_opt);
+    check_convergence(request, base);
+    response.delay_pushout_model =
+        response.model_near.delay - measure_model(base, technology_.vdd).delay;
+  }
+  if (request.far_end_replay) {
+    // Fail a non-converged model *before* planning or enqueueing its
+    // replay, so a slot that fails here leaves nothing behind to patch.
+    check_convergence(request, response.model);
+    ReplayPlan plan = plan_far_end_replay(request, nets.net(), options, response.model);
+    // Slots with a wall-clock limit or an enabled degrade policy never
+    // defer: the deadline/ladder semantics are tied to the slot's own
+    // attempt sequence, and deferral would move work past both.
+    const bool defer = collector != nullptr && !request.degrade.enabled &&
+                       request.budget.wall_limit_s <= 0.0;
+    if (defer) {
+      ReplayJob job;
+      job.slot = slot;
+      job.label = request.label;
+      job.net = nets.net();
+      job.source = std::move(plan.source);
+      job.deck = plan.deck;
+      job.dominant_leaf = plan.dominant_leaf;
+      job.input_time_50 = plan.input_time_50;
+      job.keep_waveforms = request.keep_waveforms;
+      collector->add(std::move(job));
+      response.input_time_50 = plan.input_time_50;
+    } else {
+      run_replay_inline(technology_, request, nets.net(), plan, budget, response);
     }
   }
 
@@ -429,30 +425,16 @@ Response Engine::moments_only_response(const Request& request,
                                        const BatchOptions& options) {
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
-  Response response;
-  response.label = request.label;
-  if (request.coupled()) {
-    response.has_coupling = true;
-    std::vector<double> factors(request.group.size(), 1.0);
-    for (const Aggressor& a : request.aggressors) {
-      factors[a.net] = core::miller_factor(a.switching);
-    }
-    response.model = core::estimate_driver_output_moments_only(
-        driver, request.input_slew,
-        request.group.decoupled_net(request.victim, factors));
-    response.model_near = measure_model(response.model, technology_.vdd);
-    const bool all_quiet = std::all_of(factors.begin(), factors.end(),
-                                       [](double f) { return f == 1.0; });
-    if (!all_quiet) {
-      const core::DriverOutputModel base = core::estimate_driver_output_moments_only(
-          driver, request.input_slew, request.group.decoupled_net(request.victim));
-      response.delay_pushout_model =
-          response.model_near.delay - measure_model(base, technology_.vdd).delay;
-    }
-  } else {
-    response.model = core::estimate_driver_output_moments_only(
-        driver, request.input_slew, request.net);
-    response.model_near = measure_model(response.model, technology_.vdd);
+  const FlowNets nets = flow_nets(request);
+  Response response = start_response(request);
+  response.model =
+      core::estimate_driver_output_moments_only(driver, request.input_slew, nets.net());
+  response.model_near = measure_model(response.model, technology_.vdd);
+  if (nets.quiet) {
+    const core::DriverOutputModel base = core::estimate_driver_output_moments_only(
+        driver, request.input_slew, *nets.quiet);
+    response.delay_pushout_model =
+        response.model_near.delay - measure_model(base, technology_.vdd).delay;
   }
   return response;
 }
@@ -462,41 +444,27 @@ Response Engine::analytical_response(const Request& request,
                                      tier::AnalyticalEstimate* estimate_out) {
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
-  Response response;
-  response.label = request.label;
+  const FlowNets nets = flow_nets(request);
+  Response response = start_response(request);
   response.fidelity = Fidelity::analytical;
   response.tier = tier::Tier::analytical;
+  tier::AnalyticalEstimate estimate =
+      tier::analytical_estimate(driver, request.input_slew, nets.net());
+  response.model_near = {estimate.delay, estimate.slew_10_90};
+  if (nets.quiet) {
+    const tier::AnalyticalEstimate base =
+        tier::analytical_estimate(driver, request.input_slew, *nets.quiet);
+    response.delay_pushout_model = estimate.delay - base.delay;
+  }
   if (request.coupled()) {
-    response.has_coupling = true;
-    std::vector<double> factors(request.group.size(), 1.0);
-    for (const Aggressor& a : request.aggressors) {
-      factors[a.net] = core::miller_factor(a.switching);
-    }
-    tier::AnalyticalEstimate estimate = tier::analytical_estimate(
-        driver, request.input_slew,
-        request.group.decoupled_net(request.victim, factors));
-    response.model_near = {estimate.delay, estimate.slew_10_90};
-    const bool all_quiet = std::all_of(factors.begin(), factors.end(),
-                                       [](double f) { return f == 1.0; });
-    if (!all_quiet) {
-      const tier::AnalyticalEstimate base = tier::analytical_estimate(
-          driver, request.input_slew, request.group.decoupled_net(request.victim));
-      response.delay_pushout_model = estimate.delay - base.delay;
-    }
     response.has_noise_bound = true;
     response.noise_bound =
         tier::noise_bound(request.group, request.victim, technology_.vdd);
-    response.model = std::move(estimate.model);
-    if (estimate_out) *estimate_out = std::move(estimate);
-  } else {
-    tier::AnalyticalEstimate estimate =
-        tier::analytical_estimate(driver, request.input_slew, request.net);
-    response.model_near = {estimate.delay, estimate.slew_10_90};
-    // Move, not copy: the waveform's points are the only allocation in the
-    // model and the admission screen only reads the scalar fields.
-    response.model = std::move(estimate.model);
-    if (estimate_out) *estimate_out = std::move(estimate);
   }
+  // Move, not copy: the waveform's points are the only allocation in the
+  // model and the admission screen only reads the scalar fields.
+  response.model = std::move(estimate.model);
+  if (estimate_out) *estimate_out = std::move(estimate);
   return response;
 }
 
@@ -697,7 +665,7 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
   // characterization grid just to hit the same exception again.
   std::vector<double> sizes;
   for (const Request& r : requests) {
-    if (r.cell_size <= 0.0) continue;
+    if (!positive_finite(r.cell_size)) continue;  // validate() rejects the slot
     const bool seen = std::any_of(sizes.begin(), sizes.end(), [&](double s) {
       return std::abs(s - r.cell_size) < 1e-9;
     });

@@ -17,7 +17,6 @@
 #include "api/outcome.h"
 #include "charlib/characterize.h"
 #include "lint/lint.h"
-#include "core/coupled_experiment.h"
 #include "core/driver_model.h"
 #include "core/experiment.h"
 #include "net/coupled.h"
@@ -131,7 +130,9 @@ struct Request {
   // Coupled-net request: when `group` is non-empty, `net` must stay empty
   // and the engine models the victim net of the group instead — Ceff on the
   // Miller-decoupled equivalent, and (in reference mode) the full coupled
-  // simulation with delay pushout and quiet-victim peak noise.
+  // simulation with delay pushout and quiet-victim peak noise.  A plain `net`
+  // is the one-net group: net::CoupledGroup::single(net) as the group gives
+  // the same numbers bit for bit.
   net::CoupledGroup group;
   std::size_t victim = 0;            // index of the victim net in `group`
   std::vector<Aggressor> aggressors; // the switching neighbors
@@ -145,14 +146,15 @@ struct Request {
   bool keep_waveforms = false;     // retain sampled waveforms (reference/replay mode)
 
   // Model-only far-end replay: after the Ceff model converges, replay the
-  // modeled PWL through the net and measure the dominant-path leaf
+  // modeled PWL through the net the model ran on (a coupled victim's
+  // Miller-decoupled net) and measure the dominant-path leaf
   // (Response::model_far / has_model_far) — the Fig-6 sink response without
   // the reference driver simulation.  This is the scenario-batching target:
   // in run_batch (BatchOptions::batch_scenarios) equal-topology replays are
   // grouped and advanced as one shared-factorization block, with waveforms
   // bitwise-identical to the per-slot path.  Incompatible with `reference`
-  // (which already replays the far end), coupled groups, and non-default
-  // tier policies.  keep_waveforms is honored (model_far_wave).
+  // (which already replays the far end) and non-default tier policies.
+  // keep_waveforms is honored (model_far_wave).
   bool far_end_replay = false;
 
   // Treat a non-converged Ceff fixed point in the primary model as a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 #include "util/stats.h"
@@ -10,12 +12,67 @@ namespace rlceff::core {
 
 namespace {
 
-// Sizes the horizon so even the slowest (weak driver, long line) case fully
-// completes its 90 % crossing with margin.
-double auto_t_stop(const ExperimentCase& c, const net::NetMetrics& metrics,
-                   const tech::DeckOptions& deck) {
-  return deck.t_start + c.input_slew +
-         std::max(1e-9, settle_time(c.driver_size, metrics));
+EdgeMetrics measure_model_pwl(const DriverOutputModel& m, double vdd,
+                              double horizon) {
+  const wave::Waveform w = m.waveform.to_waveform(m.waveform.end_time() + horizon);
+  return measure_edge(w, vdd, 0.0);
+}
+
+AggressorDrive aggressor_at(const ExperimentCase& c, std::size_t k) {
+  return k < c.aggressors.size() ? c.aggressors[k] : AggressorDrive{};
+}
+
+// Sizes the horizon so even the slowest (weak driver, long line) net fully
+// completes its 90 % crossing with margin: the settle_time heuristic per
+// net, with its attached coupling capacitance added to the charge it must
+// move.  The whole deck shares the longest net's horizon.
+double auto_t_stop(const ExperimentCase& c, const ExperimentOptions& o) {
+  double t_stop = 0.0;
+  for (std::size_t k = 0; k < c.group.size(); ++k) {
+    const net::NetMetrics metrics = c.group.net_at(k).metrics();
+    double driver_size = c.driver_size;
+    double slew = c.input_slew;
+    if (k != c.victim) {
+      const AggressorDrive aggressor = aggressor_at(c, k);
+      driver_size = aggressor.driver_size;
+      slew = aggressor.input_slew;
+    }
+    const double settle = settle_time(driver_size, metrics,
+                                      c.group.coupling_capacitance_at(k));
+    t_stop = std::max(t_stop, o.deck.t_start + slew + std::max(1e-9, settle));
+  }
+  return t_stop;
+}
+
+tech::DriveEdge edge_for(AggressorSwitching switching) {
+  switch (switching) {
+    case AggressorSwitching::same_direction:
+      return tech::DriveEdge::rise;
+    case AggressorSwitching::opposite:
+      return tech::DriveEdge::fall;
+    case AggressorSwitching::quiet:
+      break;
+  }
+  return tech::DriveEdge::hold_low;
+}
+
+std::vector<tech::NetDrive> build_drives(const ExperimentCase& c,
+                                         bool victim_switches) {
+  std::vector<tech::NetDrive> drives(c.group.size());
+  for (std::size_t k = 0; k < c.group.size(); ++k) {
+    tech::NetDrive& d = drives[k];
+    if (k == c.victim) {
+      d.cell = tech::Inverter{c.driver_size};
+      d.input_slew = c.input_slew;
+      d.edge = victim_switches ? tech::DriveEdge::rise : tech::DriveEdge::hold_low;
+      continue;
+    }
+    const AggressorDrive aggressor = aggressor_at(c, k);
+    d.cell = tech::Inverter{aggressor.driver_size};
+    d.input_slew = aggressor.input_slew;
+    d.edge = edge_for(aggressor.switching);
+  }
+  return drives;
 }
 
 }  // namespace
@@ -38,59 +95,132 @@ EdgeMetrics measure_edge(const wave::Waveform& w, double vdd, double t_reference
   return {e.t50 - t_reference, e.transition_10_90()};
 }
 
+double miller_factor(AggressorSwitching switching) {
+  switch (switching) {
+    case AggressorSwitching::same_direction:
+      return 0.0;
+    case AggressorSwitching::quiet:
+      return 1.0;
+    case AggressorSwitching::opposite:
+      break;
+  }
+  return 2.0;
+}
+
+std::vector<double> miller_factors(const ExperimentCase& scenario) {
+  std::vector<double> factors(scenario.group.size(), 1.0);
+  for (std::size_t k = 0; k < scenario.group.size(); ++k) {
+    if (k == scenario.victim || k >= scenario.aggressors.size()) continue;
+    factors[k] = miller_factor(scenario.aggressors[k].switching);
+  }
+  return factors;
+}
+
 ExperimentResult run_experiment(const tech::Technology& technology,
                                 charlib::CellLibrary& library,
                                 const ExperimentCase& scenario,
                                 const ExperimentOptions& options) {
+  ensure(!scenario.group.empty(), "run_experiment: empty group");
+  ensure(scenario.victim < scenario.group.size(),
+         "run_experiment: victim index out of range");
+  // A one-net group has no environment: its quiet baseline is the reference
+  // deck itself and its noise view is flat, so neither is simulated.
+  const bool alone = scenario.group.size() == 1;
+
   ExperimentResult out;
-  out.scenario = scenario;
-
-  const net::NetMetrics metrics = scenario.net.metrics();
+  const net::NetMetrics victim_metrics =
+      scenario.group.net_at(scenario.victim).metrics();
   tech::DeckOptions deck = options.deck;
-  deck.t_stop = auto_t_stop(scenario, metrics, options.deck);
+  deck.t_stop = auto_t_stop(scenario, options);
 
-  // Reference ("HSPICE") run; the "far end" is the dominant-path leaf.
-  const tech::Inverter cell{scenario.driver_size};
-  tech::NetSimResult ref = tech::simulate_driver_net(
-      technology, cell, scenario.input_slew, scenario.net, deck);
-  const wave::Waveform& ref_far = ref.leaves.at(metrics.dominant_leaf);
-  out.input_time_50 = ref.input_time_50;
-  out.solver = ref.solver;
-  out.ref_near = measure_edge(ref.near_end, technology.vdd, ref.input_time_50);
-  out.ref_far = measure_edge(ref_far, technology.vdd, ref.input_time_50);
-
-  // Library model (the paper's flow).
-  const charlib::CharacterizedDriver& driver =
-      library.ensure_driver(technology, scenario.driver_size, options.grid);
-  out.model =
-      model_driver_output(driver, scenario.input_slew, scenario.net, options.model);
+  // Reference: the full coupled system, every net driven.
   {
-    const wave::Waveform w = out.model.waveform.to_waveform(
-        out.model.waveform.end_time() + deck.t_stop);
-    out.model_near = measure_edge(w, technology.vdd, 0.0);
+    const std::vector<tech::NetDrive> drives = build_drives(scenario, true);
+    tech::CoupledSimResult ref =
+        tech::simulate_coupled_group(technology, drives, scenario.group, deck);
+    tech::NetSimResult& victim = ref.nets[scenario.victim];
+    out.input_time_50 = victim.input_time_50;
+    out.solver = victim.solver;
+    const wave::Waveform& far = victim.leaves.at(victim_metrics.dominant_leaf);
+    out.ref_near = measure_edge(victim.near_end, technology.vdd, victim.input_time_50);
+    out.ref_far = measure_edge(far, technology.vdd, victim.input_time_50);
+    if (options.keep_waveforms) {
+      out.ref_near_wave = std::move(victim.near_end);
+      out.ref_far_wave = victim.leaves.at(victim_metrics.dominant_leaf);
+    }
   }
 
+  // Quiet-environment baseline: the victim alone with every coupling cap
+  // grounded at 1x — the delay-pushout anchor.  (A lone net's only Miller
+  // factor is its own 1x, so the model below never needs quiet_net for it.)
+  net::Net quiet_net;
+  if (alone) {
+    out.base_near = out.ref_near;
+    out.base_far = out.ref_far;
+  } else {
+    quiet_net = scenario.group.decoupled_net(scenario.victim);
+    const tech::Inverter cell{scenario.driver_size};
+    const tech::NetSimResult base = tech::simulate_driver_net(
+        technology, cell, scenario.input_slew, quiet_net, deck);
+    const wave::Waveform& far = base.leaves.at(victim_metrics.dominant_leaf);
+    out.base_near = measure_edge(base.near_end, technology.vdd, base.input_time_50);
+    out.base_far = measure_edge(far, technology.vdd, base.input_time_50);
+  }
+  out.delay_pushout = out.ref_far.delay - out.base_far.delay;
+
+  // Noise view: victim held quiet, aggressors switching.
+  if (options.include_noise && !alone) {
+    const std::vector<tech::NetDrive> drives = build_drives(scenario, false);
+    tech::CoupledSimResult noisy =
+        tech::simulate_coupled_group(technology, drives, scenario.group, deck);
+    const wave::Waveform& far =
+        noisy.nets[scenario.victim].leaves.at(victim_metrics.dominant_leaf);
+    ensure(far.size() > 0, "run_experiment: empty noise waveform");
+    const double rest = far.value(0);
+    double peak = 0.0;
+    for (std::size_t k = 0; k < far.size(); ++k) {
+      peak = std::max(peak, std::abs(far.value(k) - rest));
+    }
+    out.peak_noise = peak;
+    if (options.keep_waveforms) out.noise_wave = far;
+  }
+
+  // Miller-decoupled model (the paper's flow on the single-net equivalent).
+  const std::vector<double> factors = miller_factors(scenario);
+  const net::Net miller_net =
+      scenario.group.decoupled_net(scenario.victim, factors);
+  const charlib::CharacterizedDriver& driver =
+      library.ensure_driver(technology, scenario.driver_size, options.grid);
+  out.model = model_driver_output(driver, scenario.input_slew, miller_net,
+                                  options.model);
+  out.model_near = measure_model_pwl(out.model, technology.vdd, deck.t_stop);
+
+  // Quiet-environment model for the pushout estimate.  When every factor is
+  // 1 the Miller net *is* the quiet net: reuse the model instead of running
+  // the Ceff flow a second time.
+  const bool quiet_equals_miller =
+      std::all_of(factors.begin(), factors.end(), [](double f) { return f == 1.0; });
+  if (quiet_equals_miller) {
+    out.model_base = out.model;
+    out.model_base_near = out.model_near;
+  } else {
+    out.model_base = model_driver_output(driver, scenario.input_slew, quiet_net,
+                                         options.model);
+    out.model_base_near =
+        measure_model_pwl(out.model_base, technology.vdd, deck.t_stop);
+  }
+  out.delay_pushout_model = out.model_near.delay - out.model_base_near.delay;
+
   if (options.include_far_end) {
-    // Replay the modeled waveform through the net in absolute deck time.
+    // Replay the modeled waveform through the decoupled net in deck time.
     std::vector<std::pair<double, double>> pts = out.model.waveform.points();
-    for (auto& [t, v] : pts) t += ref.input_time_50;
-    // The source must start at 0 V from t = 0 for the DC operating point.
-    if (pts.front().first > 0.0 && pts.front().second == 0.0) {
-      // anchored waveforms always begin at 0 V; nothing to do
-    }
-    wave::Pwl absolute(std::move(pts));
-    if (options.defer_far_end) {
-      out.replay_deferred = true;
-      out.replay_source = std::move(absolute);
-      out.replay_t_stop = deck.t_stop;
-      out.replay_dominant_leaf = metrics.dominant_leaf;
-    } else {
-      tech::NetSimResult replay =
-          tech::simulate_source_net(absolute, scenario.net, deck);
-      const wave::Waveform& replay_far = replay.leaves.at(metrics.dominant_leaf);
-      out.model_far = measure_edge(replay_far, technology.vdd, ref.input_time_50);
-      if (options.keep_waveforms) out.model_far_wave = replay_far;
-    }
+    for (auto& [t, v] : pts) t += out.input_time_50;
+    const wave::Pwl absolute(std::move(pts));
+    const tech::NetSimResult replay =
+        tech::simulate_source_net(absolute, miller_net, deck);
+    const wave::Waveform& far = replay.leaves.at(victim_metrics.dominant_leaf);
+    out.model_far = measure_edge(far, technology.vdd, out.input_time_50);
+    if (options.keep_waveforms) out.model_far_wave = far;
   }
 
   if (options.include_one_ramp) {
@@ -99,16 +229,8 @@ ExperimentResult run_experiment(const tech::Technology& technology,
     // The paper's Table-1/Fig-7 baseline is a *pure* single ramp; keep the
     // ref-[11] tail out of the comparison column.
     one.shielding_tail = false;
-    out.one_ramp =
-        model_driver_output(driver, scenario.input_slew, scenario.net, one);
-    const wave::Waveform w = out.one_ramp.waveform.to_waveform(
-        out.one_ramp.waveform.end_time() + deck.t_stop);
-    out.one_near = measure_edge(w, technology.vdd, 0.0);
-  }
-
-  if (options.keep_waveforms) {
-    out.ref_near_wave = ref.near_end;
-    out.ref_far_wave = ref_far;
+    out.one_ramp = model_driver_output(driver, scenario.input_slew, miller_net, one);
+    out.one_near = measure_model_pwl(out.one_ramp, technology.vdd, deck.t_stop);
   }
   return out;
 }

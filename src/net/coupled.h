@@ -7,7 +7,7 @@
 //   * ckt::append_coupled_group compiles it into one simulation deck of
 //     aligned pi ladders with node-to-node coupling capacitors and
 //     per-segment mutual inductors (K elements),
-//   * core::run_coupled_experiment simulates the full coupled system as the
+//   * core::run_experiment simulates the full coupled system as the
 //     reference and runs the paper's Ceff flow per victim on the
 //     Miller-decoupled equivalent net (decoupled_net),
 //   * api::Engine accepts coupled requests with aggressor descriptors.

@@ -92,7 +92,6 @@ std::uint64_t scenario_group_hash(const Netlist& netlist,
   f.mix(options.newton_damping_v);
   f.mix(static_cast<std::uint64_t>(options.assembly));
   f.mix(static_cast<std::uint64_t>(options.solver));
-  f.mix(static_cast<std::uint64_t>(options.force_dense));
   f.mix(options.debug_cached_stamp_skew);
   f.mix(static_cast<std::uint64_t>(options.debug_cached_stamp_nan));
   return f.h;
@@ -152,7 +151,6 @@ bool scenario_options_equal(const TransientOptions& a, const TransientOptions& b
          a.max_newton == b.max_newton &&
          same_bits(a.newton_damping_v, b.newton_damping_v) &&
          a.assembly == b.assembly && a.solver == b.solver &&
-         a.force_dense == b.force_dense &&
          same_bits(a.debug_cached_stamp_skew, b.debug_cached_stamp_skew) &&
          a.debug_cached_stamp_nan == b.debug_cached_stamp_nan;
 }

@@ -347,10 +347,6 @@ SolverKind selected_solver(const ckt::Netlist& netlist,
                                      structure.pattern_nonzeros(), options);
 }
 
-bool uses_banded_solver(const ckt::Netlist& netlist) {
-  return selected_solver(netlist) == SolverKind::banded;
-}
-
 TransientResult::TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps)
     : probes_(std::move(probes)), waves_(probes_.size()) {
   for (wave::Waveform& w : waves_) w.reserve(reserve_steps);

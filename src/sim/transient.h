@@ -75,10 +75,6 @@ struct TransientOptions {
   // Linear-solver override: `automatic` applies the selection heuristic (see
   // selected_solver); any other value forces that backend.
   SolverKind solver = SolverKind::automatic;
-  // Deprecated: pre-SolverKind spelling of `solver = SolverKind::dense`.
-  // Honored (when `solver` is automatic) so existing tests compile; use the
-  // SolverKind override in new code.
-  bool force_dense = false;
   // Fault-injection hooks for the property/chaos harnesses (testkit/faults.h
   // generalizes these into keyed per-slot fault plans).  Never set outside
   // tests.
@@ -124,17 +120,12 @@ struct OperatingPoint {
 };
 
 // The backend simulate() will factor this netlist with: the explicit
-// override when `options.solver` is not automatic (force_dense counting as a
-// dense override), otherwise the heuristic — banded while RCM keeps the band
-// narrow, else sparse when the unknown count is large enough that the
-// estimated sparse LU work beats the dense factor, else dense.  Never
-// returns SolverKind::automatic.
+// override when `options.solver` is not automatic, otherwise the heuristic —
+// banded while RCM keeps the band narrow, else sparse when the unknown count
+// is large enough that the estimated sparse LU work beats the dense factor,
+// else dense.  Never returns SolverKind::automatic.
 SolverKind selected_solver(const ckt::Netlist& netlist,
                            const TransientOptions& options = {});
-
-// Deprecated: pre-SolverKind spelling of
-// `selected_solver(netlist) == SolverKind::banded`.
-bool uses_banded_solver(const ckt::Netlist& netlist);
 
 // Solves the DC operating point at t = 0 (sources at their t = 0 values,
 // capacitors open, inductors shorted).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/coupled_experiment.h"
+#include "core/experiment.h"
 #include "tech/wire.h"
 #include "util/units.h"
 

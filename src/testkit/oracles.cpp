@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "circuit/builders.h"
-#include "core/coupled_experiment.h"
+#include "core/experiment.h"
 #include "sim/scenario_block.h"
 #include "testkit/faults.h"
 #include "moments/admittance.h"
@@ -964,7 +964,7 @@ void check_group_invariants(const net::CoupledGroup& group, std::size_t victim,
 void check_miller_envelope(const tech::Technology& technology,
                            charlib::CellLibrary& library, const GroupRecipe& recipe,
                            Rng rng, const OracleOptions& options) {
-  core::CoupledExperimentCase scenario;
+  core::ExperimentCase scenario;
   scenario.label = "miller-" + describe(recipe);
   scenario.group = instantiate(recipe);
   scenario.victim = rng.uniform_index(scenario.group.size());
@@ -979,16 +979,17 @@ void check_miller_envelope(const tech::Technology& technology,
     scenario.aggressors.push_back(drive);
   }
 
-  core::CoupledExperimentOptions opt;
+  core::ExperimentOptions opt;
   opt.deck.segments = options.segments;
   opt.deck.dt = options.dt;
   opt.grid.input_slews = {50 * ps, 100 * ps, 200 * ps};
   opt.grid.loads = {20 * ff, 50 * ff,  200 * ff, 500 * ff,
                     1 * pf,  2 * pf,   4 * pf};
   opt.include_noise = true;
+  opt.include_one_ramp = false;
 
-  const core::CoupledExperimentResult r =
-      core::run_coupled_experiment(technology, library, scenario, opt);
+  const core::ExperimentResult r =
+      core::run_experiment(technology, library, scenario, opt);
 
   expect(std::isfinite(r.ref_far.delay) && r.ref_far.slew > 0.0,
          "coupled reference produced a degenerate far-end edge");
@@ -1004,6 +1005,162 @@ void check_miller_envelope(const tech::Technology& technology,
              fmt(r.ref_far.delay) + " s (envelope " + fmt(envelope) + " s)");
   expect(r.peak_noise >= 0.0 && r.peak_noise <= technology.vdd,
          "quiet-victim peak noise " + fmt(r.peak_noise) + " V outside [0, Vdd]");
+}
+
+namespace {
+
+// The slot shapes the one-net group identity covers: the untiered model-only,
+// reference and replay slots, every routing policy, and the degrade floor.
+struct SlotShape {
+  const char* name;
+  void (*apply)(api::Request&);
+};
+
+constexpr SlotShape kSlotShapes[] = {
+    {"model-only", [](api::Request&) {}},
+    {"reference",
+     [](api::Request& r) {
+       r.reference = true;
+       r.keep_waveforms = true;
+     }},
+    {"far_end_replay",
+     [](api::Request& r) {
+       r.far_end_replay = true;
+       r.keep_waveforms = true;
+     }},
+    {"force_analytical",
+     [](api::Request& r) { r.tier = tier::TierPolicy::force_analytical; }},
+    {"force_ceff", [](api::Request& r) { r.tier = tier::TierPolicy::force_ceff; }},
+    {"fastest", [](api::Request& r) { r.tier = tier::TierPolicy::fastest; }},
+    {"balanced", [](api::Request& r) { r.tier = tier::TierPolicy::balanced; }},
+    // One fixed-point iteration rarely converges and neither does the damped
+    // retry: the slot lands on the moments-only floor.
+    {"degrade floor",
+     [](api::Request& r) {
+       r.model.iteration.max_iter = 1;
+       r.degrade.enabled = true;
+     }},
+};
+
+void expect_same_model(const core::DriverOutputModel& a, const core::DriverOutputModel& b,
+                       const std::string& what) {
+  expect(a.kind == b.kind, what + ": model kinds differ");
+  const std::pair<const char*, std::pair<double, double>> fields[] = {
+      {"rs", {a.rs, b.rs}},
+      {"z0", {a.z0, b.z0}},
+      {"tf", {a.tf, b.tf}},
+      {"f", {a.f, b.f}},
+      {"f2", {a.f2, b.f2}},
+      {"Ceff1", {a.ceff1.ceff, b.ceff1.ceff}},
+      {"Tr1", {a.ceff1.ramp_time, b.ceff1.ramp_time}},
+      {"Ceff2", {a.ceff2.ceff, b.ceff2.ceff}},
+      {"Tr2", {a.ceff2.ramp_time, b.ceff2.ramp_time}},
+      {"Ceff3", {a.ceff3.ceff, b.ceff3.ceff}},
+      {"plateau time", {a.plateau_time, b.plateau_time}},
+      {"Tr2 stretched", {a.tr2_new, b.tr2_new}},
+      {"tail tau", {a.tail_tau, b.tail_tau}},
+      {"t50", {a.t50, b.t50}}};
+  for (const auto& [name, values] : fields) {
+    expect(dbits(values.first) == dbits(values.second),
+           what + ": model " + name + " differs bitwise (" + fmt(values.first) +
+               " vs " + fmt(values.second) + ")");
+  }
+  expect(a.ceff1.iterations == b.ceff1.iterations &&
+             a.ceff2.iterations == b.ceff2.iterations &&
+             a.ceff1.converged == b.ceff1.converged &&
+             a.ceff2.converged == b.ceff2.converged,
+         what + ": Ceff iteration trails differ");
+  expect(a.waveform.points() == b.waveform.points(),
+         what + ": modeled waveforms differ");
+}
+
+// Every number a Response carries, plus its provenance and (on failure) its
+// error, bitwise.  has_coupling / has_noise_bound are exempt: they say which
+// request shape asked, not what was computed.
+void expect_identical_slots(const api::Outcome<api::Response>& a,
+                            const api::Outcome<api::Response>& b,
+                            const std::string& what) {
+  if (a.ok() != b.ok()) {
+    expect(false, what + ": one side failed (" +
+                      (a.ok() ? b.error().message : a.error().message) + ")");
+  }
+  if (!a.ok()) {
+    expect(a.error().code == b.error().code, what + ": error codes differ");
+    expect(a.error().message == b.error().message,
+           what + ": error messages differ ('" + a.error().message + "' vs '" +
+               b.error().message + "')");
+    return;
+  }
+  const api::Response& ra = a.value();
+  const api::Response& rb = b.value();
+  using EdgePair = std::pair<core::EdgeMetrics, core::EdgeMetrics>;
+  const std::pair<const char*, EdgePair> edges[] = {
+      {"model_near", {ra.model_near, rb.model_near}},
+      {"ref_near", {ra.ref_near, rb.ref_near}},
+      {"ref_far", {ra.ref_far, rb.ref_far}},
+      {"model_far", {ra.model_far, rb.model_far}},
+      {"one_near", {ra.one_near, rb.one_near}},
+      {"base_near", {ra.base_near, rb.base_near}},
+      {"base_far", {ra.base_far, rb.base_far}}};
+  for (const auto& [name, m] : edges) {
+    expect(dbits(m.first.delay) == dbits(m.second.delay) &&
+               dbits(m.first.slew) == dbits(m.second.slew),
+           what + ": " + name + " differs bitwise (" + fmt(m.first.delay) + " vs " +
+               fmt(m.second.delay) + " s)");
+  }
+  const std::pair<const char*, std::pair<double, double>> scalars[] = {
+      {"delay_pushout_model", {ra.delay_pushout_model, rb.delay_pushout_model}},
+      {"delay_pushout", {ra.delay_pushout, rb.delay_pushout}},
+      {"peak_noise", {ra.peak_noise, rb.peak_noise}},
+      {"noise_bound", {ra.noise_bound, rb.noise_bound}},
+      {"input_time_50", {ra.input_time_50, rb.input_time_50}}};
+  for (const auto& [name, values] : scalars) {
+    expect(dbits(values.first) == dbits(values.second),
+           what + ": " + name + " differs bitwise");
+  }
+  expect(ra.has_reference == rb.has_reference && ra.has_model_far == rb.has_model_far &&
+             ra.has_solver == rb.has_solver && ra.solver == rb.solver,
+         what + ": reference/replay/solver flags differ");
+  expect(ra.fidelity == rb.fidelity && ra.tier == rb.tier &&
+             ra.tier_escalations == rb.tier_escalations && ra.degraded == rb.degraded,
+         what + ": provenance (fidelity, tier, escalations, degraded) differs");
+  expect(ra.attempts.size() == rb.attempts.size(), what + ": attempt trails differ");
+  for (std::size_t k = 0; k < ra.attempts.size(); ++k) {
+    expect(ra.attempts[k].fidelity == rb.attempts[k].fidelity &&
+               ra.attempts[k].code == rb.attempts[k].code &&
+               ra.attempts[k].message == rb.attempts[k].message,
+           what + ": attempt " + std::to_string(k) + " differs");
+  }
+  expect_same_model(ra.model, rb.model, what);
+  expect_same_model(ra.one_ramp, rb.one_ramp, what + " (one-ramp)");
+  expect_wave_bitwise(ra.ref_near_wave, rb.ref_near_wave, what + ": ref near wave");
+  expect_wave_bitwise(ra.ref_far_wave, rb.ref_far_wave, what + ": ref far wave");
+  expect_wave_bitwise(ra.model_far_wave, rb.model_far_wave, what + ": model far wave");
+}
+
+}  // namespace
+
+void check_single_net_group_identity(api::Engine& engine, const net::Net& net, Rng rng,
+                                     const api::BatchOptions& options) {
+  api::Request plain;
+  plain.label = "identity";
+  plain.cell_size = rng.pick(kCells);
+  plain.input_slew = rng.uniform(50 * ps, 200 * ps);
+  plain.net = net;
+  const SlotShape& shape = rng.pick(kSlotShapes);
+  shape.apply(plain);
+
+  api::Request twin = plain;
+  twin.net = net::Net();
+  twin.group = net::CoupledGroup::single(net);
+
+  const std::vector<api::Request> pair{plain, twin};
+  api::BatchOptions serial = options;
+  serial.n_threads = 1;
+  const std::vector<api::Outcome<api::Response>> out = engine.run_batch(pair, serial);
+  expect_identical_slots(out[0], out[1],
+                         std::string("one-net group vs plain net, ") + shape.name +
+                             " slot");
 }
 
 namespace {

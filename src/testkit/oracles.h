@@ -26,6 +26,8 @@
 //                          under thread count and slot permutation,
 //   * group invariants:    Miller folding preserves total capacitance and
 //                          the one-net group compiles the one-net deck,
+//   * one-net identity:    a net and its one-net group give the same
+//                          Response, bit for bit, on every slot shape,
 //   * Miller envelope:     the decoupled model's far-end delay tracks the
 //                          full coupled simulation within a coarse envelope.
 //
@@ -116,11 +118,20 @@ void check_group_invariants(const net::CoupledGroup& group, std::size_t victim,
                             const OracleOptions& options);
 
 // The expensive end-to-end oracle: full coupled simulation vs the
-// Miller-decoupled model through core::run_coupled_experiment at low
+// Miller-decoupled model through core::run_experiment at low
 // fidelity; far-end delays must agree within a coarse envelope.
 void check_miller_envelope(const tech::Technology& technology,
                            charlib::CellLibrary& library, const GroupRecipe& recipe,
                            Rng rng, const OracleOptions& options);
+
+// One-net group identity: a single-net request and its
+// net::CoupledGroup::single twin share one slot path, so they must agree
+// bitwise on every numeric Response field, the provenance stamps (tier,
+// escalations, degraded, attempt trail) and, on failure, the error.  The
+// slot shape is drawn from `rng`: model-only, reference, far_end_replay,
+// every tier policy except force_reference, or the degrade floor.
+void check_single_net_group_identity(api::Engine& engine, const net::Net& net, Rng rng,
+                                     const api::BatchOptions& options);
 
 // Tiered-estimation identity (src/tier/): TierPolicy::force_ceff must
 // reproduce the legacy model-only path bitwise — same outcome, same model

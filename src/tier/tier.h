@@ -10,7 +10,7 @@
 //   * Tier B (ceff)       — the paper's moments/AWE + Ceff one/two-ramp
 //     model (core::model_driver_output): the existing production path.
 //   * Tier C (reference)  — the full (coupled) transient reference
-//     simulation (core::run_experiment / run_coupled_experiment).
+//     simulation (core::run_experiment).
 // tier/router.h decides which tier serves a request; tier/envelope.h holds
 // the offline-calibrated accuracy envelope each cheaper tier is held to.
 //

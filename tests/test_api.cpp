@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,7 @@ TEST_F(EngineFixture, ReferenceModeMatchesRunExperiment) {
   core::ExperimentCase scenario;
   scenario.driver_size = req.cell_size;
   scenario.input_slew = req.input_slew;
-  scenario.net = req.net;
+  scenario.group = net::CoupledGroup::single(req.net);
   core::ExperimentOptions eopt;
   eopt.deck = opt.deck;
   eopt.grid = opt.grid;
@@ -109,13 +110,13 @@ TEST_F(EngineFixture, ReferenceModeMatchesRunExperiment) {
   const core::ExperimentResult direct = core::run_experiment(
       engine_->technology(), engine_->library(), scenario, eopt);
 
-  EXPECT_DOUBLE_EQ(direct.ref_near.delay, r.ref_near.delay);
-  EXPECT_DOUBLE_EQ(direct.ref_near.slew, r.ref_near.slew);
-  EXPECT_DOUBLE_EQ(direct.ref_far.delay, r.ref_far.delay);
-  EXPECT_DOUBLE_EQ(direct.model_near.delay, r.model_near.delay);
-  EXPECT_DOUBLE_EQ(direct.model_far.delay, r.model_far.delay);
-  EXPECT_DOUBLE_EQ(direct.one_near.delay, r.one_near.delay);
-  EXPECT_DOUBLE_EQ(direct.input_time_50, r.input_time_50);
+  EXPECT_EQ(direct.ref_near.delay, r.ref_near.delay);
+  EXPECT_EQ(direct.ref_near.slew, r.ref_near.slew);
+  EXPECT_EQ(direct.ref_far.delay, r.ref_far.delay);
+  EXPECT_EQ(direct.model_near.delay, r.model_near.delay);
+  EXPECT_EQ(direct.model_far.delay, r.model_far.delay);
+  EXPECT_EQ(direct.one_near.delay, r.one_near.delay);
+  EXPECT_EQ(direct.input_time_50, r.input_time_50);
 }
 
 TEST_F(EngineFixture, BatchIsolatesNonConvergentSlot) {
@@ -175,6 +176,47 @@ TEST_F(EngineFixture, InvalidRequestsFailWithStructuredErrors) {
 
   ASSERT_FALSE(results[3].ok());
   EXPECT_EQ(ErrorCode::invalid_request, results[3].error().code);
+}
+
+TEST_F(EngineFixture, NonFiniteInputsAreInvalidAndCharacterizeNothing) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Request> requests;
+  for (const double bad : {inf, nan}) {
+    Request size = inductive_request("size");
+    size.cell_size = bad;
+    requests.push_back(size);
+    Request slew = inductive_request("slew");
+    slew.input_slew = bad;
+    requests.push_back(slew);
+    for (const bool aggressor_size : {true, false}) {
+      Request coupled = inductive_request("aggressor");
+      coupled.net = net::Net();
+      coupled.group.add_net(inductive_net(), "victim");
+      coupled.group.add_net(inductive_net(), "aggr");
+      coupled.group.couple_capacitance({0, 0}, {1, 0}, 150 * ff);
+      Aggressor a;
+      a.net = 1;
+      (aggressor_size ? a.cell_size : a.input_slew) = bad;
+      coupled.aggressors = {a};
+      requests.push_back(coupled);
+    }
+  }
+
+  // The valid victim size is warm, so any growth is a characterization the
+  // bad inputs leaked into.
+  engine_->warm_cache({100.0}, fast_options().grid);
+  const std::size_t cells = engine_->library().size();
+  for (const Request& r : requests) {
+    const Outcome<Response> one = engine_->model(r, fast_options());
+    ASSERT_FALSE(one.ok());
+    EXPECT_EQ(ErrorCode::invalid_request, one.error().code) << one.error().message;
+  }
+  for (const Outcome<Response>& o : engine_->run_batch(requests, fast_options())) {
+    ASSERT_FALSE(o.ok());
+    EXPECT_EQ(ErrorCode::invalid_request, o.error().code) << o.error().message;
+  }
+  EXPECT_EQ(cells, engine_->library().size());
 }
 
 TEST_F(EngineFixture, OutcomeValueThrowsLabeledErrorOnFailure) {
@@ -579,10 +621,18 @@ TEST_F(EngineFixture, FarEndReplayValidation) {
   tiered.tier = tier::TierPolicy::balanced;
   ASSERT_FALSE(engine_->model(tiered, fast_options()).ok());
 
+  // A coupled victim replays through its Miller-decoupled net; for the
+  // one-net group that is the plain net, bit for bit.
   Request coupled = replay_request("replay-coupled", 100 * ps);
   coupled.net = net::Net();
   coupled.group = net::CoupledGroup::single(inductive_net());
-  ASSERT_FALSE(engine_->model(coupled, fast_options()).ok());
+  const Outcome<Response> grouped = engine_->model(coupled, fast_options());
+  const Outcome<Response> plain =
+      engine_->model(replay_request("replay-plain", 100 * ps), fast_options());
+  ASSERT_TRUE(grouped.ok());
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain.value().model_far.delay, grouped.value().model_far.delay);
+  EXPECT_EQ(plain.value().model_far.slew, grouped.value().model_far.slew);
 }
 
 TEST_F(EngineFixture, FarEndReplayProducesModelFar) {

@@ -16,7 +16,6 @@
 #include "charlib/library.h"
 #include "circuit/builders.h"
 #include "circuit/mna.h"
-#include "core/coupled_experiment.h"
 #include "core/experiment.h"
 #include "moments/admittance.h"
 #include "sim/transient.h"
@@ -408,11 +407,11 @@ TEST(DenseFallback, NarrowDeckMatchesBandedWithin1e10) {
     const ckt::NodeId out = nl.node("out");
     nl.add_vsource(out, ckt::ground, wave::Pwl({{0.0, 0.0}, {100 * ps, 1.8}}));
     ckt::append_net(nl, out, net, deck.segments);
-    EXPECT_TRUE(sim::uses_banded_solver(nl));
+    EXPECT_EQ(sim::SolverKind::banded, sim::selected_solver(nl));
   }
 
   tech::DeckOptions dense = deck;
-  dense.sim.force_dense = true;
+  dense.sim.solver = sim::SolverKind::dense;
   const tech::NetSimResult banded =
       tech::simulate_driver_net(technology, cell, 100 * ps, net, deck);
   const tech::NetSimResult forced =
@@ -452,7 +451,7 @@ TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
     froms.push_back(from);
   }
   const ckt::CoupledDeckNodes deck = ckt::append_coupled_group(nl, froms, bus, 2);
-  EXPECT_FALSE(sim::uses_banded_solver(nl));
+  EXPECT_EQ(sim::SolverKind::dense, sim::selected_solver(nl));
 
   // The dense path must still agree with itself across assembly modes (both
   // factor the same stamped system).
@@ -480,11 +479,12 @@ TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
 
 class CoupledExperimentFixture : public ::testing::Test {
 protected:
-  static core::CoupledExperimentOptions fast_options() {
-    core::CoupledExperimentOptions opt;
+  static core::ExperimentOptions fast_options() {
+    core::ExperimentOptions opt;
     opt.deck.segments = 10;
     opt.deck.dt = 2 * ps;
     opt.grid = small_grid();
+    opt.include_one_ramp = false;
     return opt;
   }
 
@@ -494,49 +494,36 @@ protected:
   }
 };
 
-TEST_F(CoupledExperimentFixture, SingleNetGroupMatchesRunExperimentBitwise) {
+TEST_F(CoupledExperimentFixture, OneNetGroupHasNoEnvironment) {
   const tech::Technology technology = tech::Technology::cmos180();
 
-  core::ExperimentCase plain;
-  plain.label = "plain";
-  plain.driver_size = 75.0;
-  plain.input_slew = 100 * ps;
-  plain.net = short_line();
+  core::ExperimentCase scenario;
+  scenario.label = "single";
+  scenario.group = CoupledGroup::single(short_line());
+  scenario.driver_size = 75.0;
+  scenario.input_slew = 100 * ps;
+  core::ExperimentOptions opt = fast_options();
+  opt.keep_waveforms = true;
+  const core::ExperimentResult r =
+      core::run_experiment(technology, library(), scenario, opt);
 
-  core::ExperimentOptions plain_opt;
-  plain_opt.deck = fast_options().deck;
-  plain_opt.grid = small_grid();
-  plain_opt.include_one_ramp = false;
-  plain_opt.include_far_end = true;
-  const core::ExperimentResult expected =
-      core::run_experiment(technology, library(), plain, plain_opt);
-
-  core::CoupledExperimentCase coupled;
-  coupled.label = "single";
-  coupled.group = CoupledGroup::single(short_line());
-  coupled.victim = 0;
-  coupled.driver_size = 75.0;
-  coupled.input_slew = 100 * ps;
-  const core::CoupledExperimentResult actual =
-      core::run_coupled_experiment(technology, library(), coupled, fast_options());
-
-  EXPECT_EQ(expected.ref_near.delay, actual.ref_near.delay);
-  EXPECT_EQ(expected.ref_near.slew, actual.ref_near.slew);
-  EXPECT_EQ(expected.ref_far.delay, actual.ref_far.delay);
-  EXPECT_EQ(expected.model_near.delay, actual.model_near.delay);
-  EXPECT_EQ(expected.model_far.delay, actual.model_far.delay);
-  EXPECT_EQ(expected.model.t50, actual.model.t50);
-  EXPECT_EQ(expected.model.ceff1.ceff, actual.model.ceff1.ceff);
-  // No neighbors: pushout and noise are exactly zero.
-  EXPECT_EQ(0.0, actual.delay_pushout);
-  EXPECT_EQ(0.0, actual.delay_pushout_model);
-  EXPECT_EQ(0.0, actual.peak_noise);
+  // The quiet baseline of a lone net is its reference deck, bit for bit, and
+  // with no neighbors pushout and noise are exactly zero.
+  EXPECT_EQ(r.ref_near.delay, r.base_near.delay);
+  EXPECT_EQ(r.ref_near.slew, r.base_near.slew);
+  EXPECT_EQ(r.ref_far.delay, r.base_far.delay);
+  EXPECT_EQ(0.0, r.delay_pushout);
+  EXPECT_EQ(0.0, r.delay_pushout_model);
+  EXPECT_EQ(0.0, r.peak_noise);
+  EXPECT_TRUE(r.noise_wave.empty());
+  EXPECT_FALSE(r.model_far_wave.empty());
+  EXPECT_GT(r.ref_far.delay, r.ref_near.delay);
 }
 
 TEST_F(CoupledExperimentFixture, OppositeAggressorPushesOutDelayAndInjectsNoise) {
   const tech::Technology technology = tech::Technology::cmos180();
 
-  core::CoupledExperimentCase scenario;
+  core::ExperimentCase scenario;
   scenario.label = "pair";
   scenario.group = two_lines(120 * ff);
   scenario.victim = 0;
@@ -544,8 +531,8 @@ TEST_F(CoupledExperimentFixture, OppositeAggressorPushesOutDelayAndInjectsNoise)
   scenario.input_slew = 100 * ps;
   scenario.aggressors.assign(2, {75.0, 100 * ps, core::AggressorSwitching::opposite});
 
-  const core::CoupledExperimentResult r =
-      core::run_coupled_experiment(technology, library(), scenario, fast_options());
+  const core::ExperimentResult r =
+      core::run_experiment(technology, library(), scenario, fast_options());
 
   // An opposite-switching neighbor slows the victim and bumps it when quiet.
   EXPECT_GT(r.delay_pushout, 0.0);
@@ -558,8 +545,8 @@ TEST_F(CoupledExperimentFixture, OppositeAggressorPushesOutDelayAndInjectsNoise)
   // A same-direction neighbor speeds the victim up instead.
   scenario.aggressors.assign(
       2, {75.0, 100 * ps, core::AggressorSwitching::same_direction});
-  const core::CoupledExperimentResult helped =
-      core::run_coupled_experiment(technology, library(), scenario, fast_options());
+  const core::ExperimentResult helped =
+      core::run_experiment(technology, library(), scenario, fast_options());
   EXPECT_LT(helped.ref_far.delay, r.ref_far.delay);
   EXPECT_LT(helped.delay_pushout, 0.0);
 }

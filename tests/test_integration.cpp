@@ -46,6 +46,13 @@ protected:
   static charlib::CellLibrary* library_;
 };
 
+// A paper wire case (length mm, width um) with the 20 fF receiver, as the
+// harness's one-net group.
+net::CoupledGroup paper_line(double length_mm, double width_um) {
+  return net::CoupledGroup::single(
+      tech::line_net(*tech::find_paper_wire_case(length_mm, width_um), 20 * ff));
+}
+
 tech::Technology* IntegrationFixture::technology_ = nullptr;
 charlib::CellLibrary* IntegrationFixture::library_ = nullptr;
 
@@ -54,7 +61,7 @@ TEST_F(IntegrationFixture, InductiveCaseTwoRampBeatsOneRamp) {
   ExperimentCase c;
   c.driver_size = 100.0;
   c.input_slew = 100 * ps;
-  c.net = tech::line_net(*tech::find_paper_wire_case(5.0, 1.6), 20 * ff);
+  c.group = paper_line(5.0, 1.6);
   const ExperimentResult r = run_experiment(*technology_, *library_, c, fast_options());
 
   ASSERT_EQ(ModelKind::two_ramp, r.model.kind);
@@ -72,7 +79,7 @@ TEST_F(IntegrationFixture, FarEndReplayTracksReference) {
   ExperimentCase c;
   c.driver_size = 100.0;
   c.input_slew = 100 * ps;
-  c.net = tech::line_net(*tech::find_paper_wire_case(5.0, 1.6), 20 * ff);
+  c.group = paper_line(5.0, 1.6);
   const ExperimentResult r = run_experiment(*technology_, *library_, c, fast_options());
   // Fig 6 right: the two-ramp source reproduces the far-end delay closely.
   EXPECT_LT(std::abs(pct_error(r.model_far.delay, r.ref_far.delay)), 10.0);
@@ -83,7 +90,7 @@ TEST_F(IntegrationFixture, RcLikeCaseUsesOneRampAndIsAccurate) {
   ExperimentCase c;
   c.driver_size = 25.0;
   c.input_slew = 100 * ps;
-  c.net = tech::line_net(*tech::find_paper_wire_case(4.0, 1.6), 20 * ff);
+  c.group = paper_line(4.0, 1.6);
   const ExperimentResult r = run_experiment(*technology_, *library_, c, fast_options());
 
   EXPECT_EQ(ModelKind::one_ramp, r.model.kind);
@@ -101,9 +108,9 @@ TEST_F(IntegrationFixture, WideLineIncreasesOneRampError) {
   ExperimentCase narrow;
   narrow.driver_size = 75.0;
   narrow.input_slew = 50 * ps;
-  narrow.net = tech::line_net(*tech::find_paper_wire_case(3.0, 0.8), 20 * ff);
+  narrow.group = paper_line(3.0, 0.8);
   ExperimentCase wide = narrow;
-  wide.net = tech::line_net(*tech::find_paper_wire_case(3.0, 1.6), 20 * ff);
+  wide.group = paper_line(3.0, 1.6);
 
   const ExperimentResult rn = run_experiment(*technology_, *library_, narrow, opt);
   const ExperimentResult rw = run_experiment(*technology_, *library_, wide, opt);
@@ -119,7 +126,7 @@ TEST_F(IntegrationFixture, ModeledBreakpointMatchesSimulatedPlateau) {
   ExperimentCase c;
   c.driver_size = 100.0;
   c.input_slew = 100 * ps;
-  c.net = tech::line_net(wire, 20 * ff);
+  c.group = net::CoupledGroup::single(tech::line_net(wire, 20 * ff));
   ExperimentOptions opt = fast_options();
   opt.keep_waveforms = true;
   const ExperimentResult r = run_experiment(*technology_, *library_, c, opt);
@@ -135,7 +142,7 @@ TEST_F(IntegrationFixture, KeepWaveformsPopulatesTraces) {
   ExperimentCase c;
   c.driver_size = 100.0;
   c.input_slew = 100 * ps;
-  c.net = tech::line_net(*tech::find_paper_wire_case(3.0, 1.2), 20 * ff);
+  c.group = paper_line(3.0, 1.2);
   ExperimentOptions opt = fast_options();
   opt.keep_waveforms = true;
   const ExperimentResult r = run_experiment(*technology_, *library_, c, opt);

@@ -387,7 +387,7 @@ TEST(NetExperiment, MultiSectionRouteRunsEndToEnd) {
   core::ExperimentCase c;
   c.driver_size = 75.0;
   c.input_slew = 100 * ps;
-  c.net = tech::route_net(wires, route, 20 * ff);
+  c.group = CoupledGroup::single(tech::route_net(wires, route, 20 * ff));
 
   core::ExperimentOptions opt;
   opt.deck.segments = 30;

@@ -585,6 +585,23 @@ TEST(PropertySuite, TierIdentity) {
   });
 }
 
+// A single net and its one-net CoupledGroup run through one slot path: every
+// slot shape (model-only, reference, far_end_replay, each tier policy, the
+// degrade floor) must give the same Response, bit for bit.  Low-fidelity
+// decks keep the reference and Tier-C slots cheap.
+TEST(PropertySuite, SingleNetGroupIdentity) {
+  shared_engine();
+  run_family("single_net_group_identity", 120, 2, [](std::uint64_t seed) {
+    return run_net_instance(
+        "single_net_group_identity", seed, [](const net::Net& net, Rng rng) {
+          api::BatchOptions options = property_batch_options();
+          options.deck.segments = 12;
+          options.deck.dt = 1 * ps;
+          check_single_net_group_identity(shared_engine(), net, rng, options);
+        });
+  });
+}
+
 // Whatever tier a balanced request routes to must sit inside that tier's
 // checked-in accuracy envelope of the transient reference (low fidelity:
 // the envelope is deliberately coarse enough to hold at any fidelity).
