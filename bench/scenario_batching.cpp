@@ -5,7 +5,7 @@
 // With batching on, the engine groups the 49 equal-topology replays of each
 // wire case, factors the companion matrix once per group, and advances all
 // lanes per step as one blocked multi-RHS solve; with batching off every
-// slot runs its own scalar replay.  Both paths must produce bitwise-
+// slot runs its own one-lane replay.  Both paths must produce bitwise-
 // identical far-end waveforms — the bench verifies that on every slot and
 // fails loudly on the first mismatch, so the speedup number can never be
 // bought with accuracy.

@@ -35,6 +35,9 @@ struct ReplayJob {
   std::shared_ptr<util::ExecTracker> tracker;
 };
 
+// Jobs are enqueued by run_slot once the slot's primary attempt succeeded,
+// with the slot's tracker already attached, so a failed slot never leaves a
+// job behind to patch.
 struct ReplayCollector {
   std::mutex mutex;
   std::vector<ReplayJob> jobs;
@@ -42,20 +45,6 @@ struct ReplayCollector {
   void add(ReplayJob job) {
     const std::lock_guard<std::mutex> lock(mutex);
     jobs.push_back(std::move(job));
-  }
-  // Hands the slot's tracker to its job once the slot's primary attempt
-  // committed to the deferred answer.
-  void attach_tracker(std::size_t slot, std::shared_ptr<util::ExecTracker> tracker) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    for (ReplayJob& job : jobs) {
-      if (job.slot == slot) job.tracker = std::move(tracker);
-    }
-  }
-  // Drops a slot's job when the slot failed after enqueueing (e.g. a later
-  // convergence check): a failed slot must not be patched.
-  void discard(std::size_t slot) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    std::erase_if(jobs, [slot](const ReplayJob& job) { return job.slot == slot; });
   }
 };
 
@@ -255,23 +244,32 @@ ReplayPlan plan_far_end_replay(const Request& request, const net::Net& net,
   return plan;
 }
 
+// The far-end measurement of a finished replay, shared by the inline and
+// the batched path so BatchOptions::batch_scenarios on/off is a bitwise
+// no-op on the numbers.
+void measure_replay(const tech::SourceNetDeck& deck, const sim::TransientResult& run,
+                    std::size_t dominant_leaf, double input_time_50,
+                    bool keep_waveforms, double vdd, Response& response) {
+  const wave::Waveform& far = run.at(deck.nodes.leaves.at(dominant_leaf));
+  response.model_far = core::measure_edge(far, vdd, input_time_50);
+  response.has_model_far = true;
+  response.input_time_50 = input_time_50;
+  response.has_solver = true;
+  response.solver = run.solver();
+  if (keep_waveforms) response.model_far_wave = far;
+}
+
 // The per-slot replay path (no collector, degrade enabled, or wall-clock
-// limited): identical construction and measurement to the batched path, so
-// BatchOptions::batch_scenarios on/off is a bitwise no-op on the numbers.
+// limited): the same deck the batched path compiles, run alone.
 void run_replay_inline(const tech::Technology& technology, const Request& request,
                        const net::Net& net, const ReplayPlan& plan,
                        util::ExecTracker* budget, Response& response) {
-  tech::DeckOptions deck = plan.deck;
-  deck.sim.budget = budget;
-  const tech::NetSimResult replay = tech::simulate_source_net(plan.source, net, deck);
-  const wave::Waveform& far = replay.leaves.at(plan.dominant_leaf);
-  response.model_far =
-      core::measure_edge(far, technology.vdd, plan.input_time_50);
-  response.has_model_far = true;
-  response.input_time_50 = plan.input_time_50;
-  response.has_solver = true;
-  response.solver = replay.solver;
-  if (request.keep_waveforms) response.model_far_wave = far;
+  const tech::SourceNetDeck deck = tech::compile_source_net(plan.source, net, plan.deck);
+  sim::TransientOptions so = tech::sim_options(plan.deck);
+  so.budget = budget;
+  const sim::TransientResult run = sim::simulate(deck.netlist, so, deck.probes);
+  measure_replay(deck, run, plan.dominant_leaf, plan.input_time_50,
+                 request.keep_waveforms, technology.vdd, response);
 }
 
 }  // namespace
@@ -280,7 +278,7 @@ Engine::Engine(tech::Technology technology) : technology_(technology) {}
 
 Response Engine::model_or_throw(const Request& request, const BatchOptions& options,
                                 util::ExecTracker* budget, std::size_t slot,
-                                bool run_hook, ReplayCollector* collector) {
+                                bool run_hook, std::optional<ReplayJob>* deferred) {
   validate(request);
 
   // Admission screen: reject statically-broken work before any
@@ -398,10 +396,10 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
     // Slots with a wall-clock limit or an enabled degrade policy never
     // defer: the deadline/ladder semantics are tied to the slot's own
     // attempt sequence, and deferral would move work past both.
-    const bool defer = collector != nullptr && !request.degrade.enabled &&
+    const bool defer = deferred != nullptr && !request.degrade.enabled &&
                        request.budget.wall_limit_s <= 0.0;
     if (defer) {
-      ReplayJob job;
+      ReplayJob& job = deferred->emplace();
       job.slot = slot;
       job.label = request.label;
       job.net = nets.net();
@@ -410,7 +408,6 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
       job.dominant_leaf = plan.dominant_leaf;
       job.input_time_50 = plan.input_time_50;
       job.keep_waveforms = request.keep_waveforms;
-      collector->add(std::move(job));
       response.input_time_50 = plan.input_time_50;
     } else {
       run_replay_inline(technology_, request, nets.net(), plan, budget, response);
@@ -582,13 +579,16 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   util::ExecTracker& tracker = *owned_tracker;
   std::exception_ptr first_error;
   try {
-    Response r = model_or_throw(request, options, &tracker, slot, true, collector);
-    if (collector) collector->attach_tracker(slot, owned_tracker);
+    std::optional<ReplayJob> job;
+    Response r = model_or_throw(request, options, &tracker, slot, true,
+                                collector ? &job : nullptr);
+    if (job) {
+      job->tracker = owned_tracker;
+      collector->add(std::move(*job));
+    }
     return finish(std::move(r), primary, false);
   } catch (...) {
     first_error = std::current_exception();
-    // A slot that enqueued a replay and then failed must not be patched.
-    if (collector) collector->discard(slot);
   }
   const ErrorInfo first = describe_failure(first_error, request.label);
 
@@ -769,47 +769,42 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
     if (!placed) groups.push_back({i});
   }
 
-  // Equal-topology groups run as blocks; groups run in parallel across the
-  // sweep pool (they touch disjoint slots).  A failure of the *shared*
-  // machinery falls back to per-lane scalar replays, so a group-level fault
-  // can never fail a scenario that would have succeeded alone.
+  // Every group, singletons included, runs as one block; groups run in
+  // parallel across the sweep pool (they touch disjoint slots).  When the
+  // block refuses or fails as a whole, each member runs alone through
+  // sim::simulate -- exactly run_replay_inline's call -- so a group-level
+  // fault can never fail a scenario that would have succeeded alone, and a
+  // deck the block cannot take (naive assembly) gets the inline answer.
   const auto run_group = [&](std::size_t g) {
     const std::vector<std::size_t>& members = groups[g];
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t head = members.front();
     const sim::TransientOptions& so = sim_opts[head];
+    const std::vector<ckt::NodeId>& probes = decks[head].probes;
 
-    std::vector<sim::BlockOutcome> outcomes;
-    if (members.size() > 1) {
-      std::vector<sim::BlockScenario> lanes;
-      lanes.reserve(members.size());
-      for (std::size_t i : members) {
-        lanes.push_back(
-            {&decks[i].netlist, jobs[i].deck.t_stop, jobs[i].tracker.get()});
-      }
-      try {
-        outcomes = sim::simulate_block(lanes, so, decks[head].probes);
-      } catch (...) {
-        outcomes.clear();
-      }
+    std::vector<sim::BlockScenario> lanes;
+    lanes.reserve(members.size());
+    for (std::size_t i : members) {
+      lanes.push_back({&decks[i].netlist, jobs[i].deck.t_stop, jobs[i].tracker.get()});
     }
-    if (outcomes.empty()) {
-      // Singleton group, or the shared path refused/failed: scalar per lane.
-      for (std::size_t i : members) {
-        sim::BlockOutcome o;
+    std::vector<sim::BlockOutcome> outcomes;
+    try {
+      outcomes = sim::simulate_block(lanes, so, probes);
+    } catch (...) {
+      outcomes.assign(members.size(), {});
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        const std::size_t i = members[k];
         try {
           sim::TransientOptions lane_opt = so;
           lane_opt.t_stop = jobs[i].deck.t_stop;
           lane_opt.budget = jobs[i].tracker.get();
-          o.result = sim::simulate(decks[i].netlist, lane_opt, decks[i].probes);
+          outcomes[k].result = sim::simulate(decks[i].netlist, lane_opt, probes);
         } catch (...) {
-          o.error = std::current_exception();
+          outcomes[k].error = std::current_exception();
         }
-        outcomes.push_back(std::move(o));
       }
     }
 
-    const sim::SolverKind solver = sim::selected_solver(decks[head].netlist, so);
     const double elapsed_share =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count() /
@@ -823,16 +818,10 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
         results[job.slot] = Outcome<Response>(std::move(info));
         continue;
       }
-      // Exactly what run_replay_inline measures, from the blocked result.
       Response& response = results[job.slot].value();
-      const wave::Waveform& far =
-          outcomes[k].result->at(decks[i].nodes.leaves.at(job.dominant_leaf));
-      response.model_far =
-          core::measure_edge(far, technology_.vdd, job.input_time_50);
-      response.has_model_far = true;
-      response.has_solver = true;
-      response.solver = solver;
-      if (job.keep_waveforms) response.model_far_wave = far;
+      measure_replay(decks[i], *outcomes[k].result, job.dominant_leaf,
+                     job.input_time_50, job.keep_waveforms, technology_.vdd,
+                     response);
       response.elapsed_s += elapsed_share;
     }
   };

@@ -17,6 +17,7 @@
 #define RLCEFF_API_ENGINE_H
 
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,11 +34,12 @@ struct AnalyticalEstimate;
 namespace rlceff::api {
 
 // Deferred-replay staging area for one run_batch call (defined in
-// engine.cpp): far_end_replay slots enqueue their compiled replay here
-// instead of simulating inline; finalize_deferred() then groups
-// equal-topology jobs and runs each group as one shared-factorization
-// multi-RHS block (sim/scenario_block.h).
+// engine.cpp): far_end_replay slots enqueue their replay job here instead
+// of simulating inline; finalize_deferred() then groups equal-topology jobs
+// and runs each group as one shared-factorization multi-RHS block
+// (sim/scenario_block.h).
 struct ReplayCollector;
+struct ReplayJob;
 
 class Engine {
 public:
@@ -81,12 +83,13 @@ public:
 private:
   // One attempt at the request as written.  `budget` (nullable) is threaded
   // into every solver loop; `run_hook` gates the test-only fault hook so
-  // retry/fallback attempts skip it.  `collector` (nullable) lets a
-  // far_end_replay slot defer its replay transient for group batching;
-  // without one the replay runs inline (same results, bitwise).
+  // retry/fallback attempts skip it.  `deferred` (nullable) lets a
+  // far_end_replay slot hand back its replay job for group batching instead
+  // of running it; without it the replay runs inline (same results,
+  // bitwise).
   Response model_or_throw(const Request& request, const BatchOptions& options,
                           util::ExecTracker* budget, std::size_t slot,
-                          bool run_hook, ReplayCollector* collector = nullptr);
+                          bool run_hook, std::optional<ReplayJob>* deferred = nullptr);
   // The full per-slot policy: arm the budget, attempt, then retry-and-
   // degrade per Request::degrade.  Never throws for per-scenario failures.
   Outcome<Response> run_slot(const Request& request, const BatchOptions& options,
@@ -95,8 +98,9 @@ private:
   // Runs the collector's deferred replays as shared-factorization blocks
   // (one factor per equal-topology group and step size) and patches the
   // affected slots of `results` — model_far and friends on success, a failed
-  // Outcome for lanes whose replay faulted.  Group machinery failures fall
-  // back to per-lane scalar replays before failing anything.
+  // Outcome for lanes whose replay faulted.  When a block refuses or fails
+  // as a whole, each member reruns alone through sim::simulate (the inline
+  // replay's call) before anything is failed.
   void finalize_deferred(ReplayCollector& collector, const BatchOptions& options,
                          std::vector<Outcome<Response>>& results);
   // The moments_only floor tier (core::estimate_driver_output_moments_only

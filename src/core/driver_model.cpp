@@ -144,8 +144,7 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
     // slowest natural mode of the Rs-plus-load system, which a single ramp
     // misses.  Append the gate-resistor tail unless the mode is too fast to
     // matter.
-    if (options.shielding_tail &&
-        m.ceff1.ceff < options.shielding_threshold * c_total) {
+    if (options.shielding_tail && m.ceff1.ceff < c_total) {
       const double tau = dominant_tail_tau(m.admittance, m.rs);
       if (tau > 0.1 * tr) {
         m.has_shielding_tail = true;

@@ -54,11 +54,9 @@ struct DriverModelOptions {
   bool three_ramp_extension = false;
   // Sec. 5 / ref [11]: append an exponential tail (the "gate resistor"
   // model) to one-ramp outputs whenever the slowest natural mode of the
-  // Rs-plus-load system is slower than the table edge.  shielding_threshold
-  // optionally restricts the tail to loads whose single Ceff shows real
-  // shielding (Ceff < threshold * Ctotal); 1.0 leaves only the mode test.
+  // Rs-plus-load system is slower than the table edge (and the single Ceff
+  // shows any shielding at all, Ceff < Ctotal).
   bool shielding_tail = true;
-  double shielding_threshold = 1.0;
 };
 
 enum class ModelKind { one_ramp, two_ramp, three_ramp };

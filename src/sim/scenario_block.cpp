@@ -17,12 +17,11 @@ namespace rlceff::sim {
 
 namespace {
 
-using ckt::ground;
 using ckt::MnaStructure;
 using ckt::Netlist;
 using ckt::NodeId;
 
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
+constexpr std::size_t npos = detail::DevicePositions::npos;
 
 // --------------------------------------------------------------- grouping ---
 
@@ -83,13 +82,7 @@ std::uint64_t scenario_group_hash(const Netlist& netlist,
   f.mix(static_cast<std::uint64_t>(netlist.mosfets().size()));
 
   f.mix(options.dt);
-  f.mix(options.gmin);
   f.mix(static_cast<std::uint64_t>(options.integrator));
-  f.mix(options.v_abstol);
-  f.mix(options.i_abstol);
-  f.mix(options.rel_tol);
-  f.mix(static_cast<std::uint64_t>(options.max_newton));
-  f.mix(options.newton_damping_v);
   f.mix(static_cast<std::uint64_t>(options.assembly));
   f.mix(static_cast<std::uint64_t>(options.solver));
   f.mix(options.debug_cached_stamp_skew);
@@ -145,11 +138,7 @@ bool scenario_group_equal(const Netlist& a, const Netlist& b) {
 }
 
 bool scenario_options_equal(const TransientOptions& a, const TransientOptions& b) {
-  return same_bits(a.dt, b.dt) && same_bits(a.gmin, b.gmin) &&
-         a.integrator == b.integrator && same_bits(a.v_abstol, b.v_abstol) &&
-         same_bits(a.i_abstol, b.i_abstol) && same_bits(a.rel_tol, b.rel_tol) &&
-         a.max_newton == b.max_newton &&
-         same_bits(a.newton_damping_v, b.newton_damping_v) &&
+  return same_bits(a.dt, b.dt) && a.integrator == b.integrator &&
          a.assembly == b.assembly && a.solver == b.solver &&
          same_bits(a.debug_cached_stamp_skew, b.debug_cached_stamp_skew) &&
          a.debug_cached_stamp_nan == b.debug_cached_stamp_nan;
@@ -166,6 +155,13 @@ namespace {
 // runs sit at the end) and faulted lanes are removed by a stable left shift
 // of the columns behind them (rare, O(n * k)), which preserves the
 // descending order the tail scan relies on.
+//
+// One stepping loop for every lane count.  A one-lane block (W = 1, every
+// cached linear sim::simulate) instantiates it with the lane loops' trip
+// count and stride fixed at 1, takes the single-RHS solve_into, and
+// threads its lane's tracker into the sparse factor/solve; at a trip count
+// of 1 the runtime-count lane loops would pay their vectorized prologue on
+// every device every step.
 class BlockEngine {
 public:
   BlockEngine(std::span<const BlockScenario> scenarios,
@@ -175,35 +171,14 @@ public:
         nl0_(*scenarios[0].netlist),
         structure_(nl0_),
         m_(structure_.unknown_count()),
-        solver_(detail::make_solver(structure_, options)),
+        kind_(detail::resolve_solver_kind(structure_, options)),
+        solver_(detail::make_solver(
+            structure_, kind_, scenarios.size() == 1 ? scenarios[0].budget : nullptr)),
+        pos_(nl0_, structure_),
         probes_(probes.begin(), probes.end()),
         out_(out) {
-    // Resolve unknown indices once, exactly like the scalar engine.
-    node_pos_.resize(nl0_.node_count(), npos);
-    for (NodeId n = 1; n < nl0_.node_count(); ++n) {
-      node_pos_[n] = structure_.node_index(n);
-    }
-    cap_pos_.reserve(nl0_.capacitors().size());
-    for (const ckt::Capacitor& c : nl0_.capacitors()) {
-      cap_pos_.push_back({c.a == ground ? npos : node_pos_[c.a],
-                          c.b == ground ? npos : node_pos_[c.b]});
-    }
-    ind_pos_.resize(nl0_.inductors().size());
-    ind_nodes_.reserve(nl0_.inductors().size());
-    for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
-      ind_pos_[k] = structure_.inductor_index(k);
-      const ckt::Inductor& l = nl0_.inductors()[k];
-      ind_nodes_.push_back({l.a == ground ? npos : node_pos_[l.a],
-                            l.b == ground ? npos : node_pos_[l.b]});
-    }
-    vsrc_pos_.resize(nl0_.vsources().size());
-    for (std::size_t k = 0; k < nl0_.vsources().size(); ++k) {
-      vsrc_pos_[k] = structure_.vsource_index(k);
-    }
     probe_pos_.reserve(probes_.size());
-    for (NodeId p : probes_) {
-      probe_pos_.push_back(p == ground ? npos : node_pos_[p]);
-    }
+    for (NodeId p : probes_) probe_pos_.push_back(pos_.node(p));
 
     // Longest-running lanes first, stable so equal t_stops keep input order.
     std::vector<std::size_t> order(scenarios.size());
@@ -214,12 +189,8 @@ public:
     for (std::size_t slot : order) {
       const BlockScenario& s = scenarios[slot];
       if (!(s.t_stop > 0.0)) {
-        // The scalar engine's precondition, confined to this lane.
-        try {
-          ensure(false, "simulate: bad time range");
-        } catch (...) {
-          out_[slot].error = std::current_exception();
-        }
+        // sim::simulate's precondition, confined to this lane.
+        out_[slot].error = std::make_exception_ptr(Error("simulate: bad time range"));
         continue;
       }
       lane_slot_.push_back(slot);
@@ -227,7 +198,7 @@ public:
       lane_tstop_.push_back(s.t_stop);
       lane_budget_.push_back(s.budget);
       results_.emplace_back(probes_,
-                            static_cast<std::size_t>(s.t_stop / opt_.dt) + 2);
+                            static_cast<std::size_t>(s.t_stop / opt_.dt) + 2, kind_);
     }
 
     w_ = lane_slot_.size();
@@ -242,24 +213,35 @@ public:
   }
 
   void run() {
+    if (w_ == 1) {
+      run_lanes<1>();
+    } else if (w_ > 1) {
+      run_lanes<0>();
+    }
+  }
+
+private:
+  // The stepping loop.  W = 1 fixes the per-step lane loops' trip count and
+  // stride at compile time (the loops vanish and the indexing folds); W = 0
+  // reads both at run time.
+  template <std::size_t W>
+  void run_lanes() {
     std::size_t a = w_;
-    if (a == 0) return;
 
     // Shared DC factor + one blocked solve seeds every lane's operating
     // point (sources at t = 0, capacitors open, inductors shorted).
     refactor(0.0);
-    assemble_rhs_block(0.0, 0.0, a);
-    solver_->solve_block(rhsb_, a, w_);
-    std::swap(xb_, rhsb_);
+    assemble_rhs_block<W>(0.0, 0.0, a);
+    solve<W>(a);
     seed_state(a);
-    record_active(0.0, a);
+    record_active<W>(0.0, a);
 
     const double dt = opt_.dt;
     double t = 0.0;
     std::int64_t step = 0;
     while (a > 0) {
       // Tail scan: finished lanes retire; lanes within one step of their
-      // horizon take their shortened final step on the tail solver.
+      // horizon take their shortened final step.
       while (a > 0) {
         const std::size_t j = a - 1;
         if (t >= lane_tstop_[j] - 1e-21) {
@@ -269,7 +251,7 @@ public:
           continue;
         }
         if (lane_tstop_[j] - t < dt) {
-          partial_step(j, t, step);
+          partial_step(j, t);
           --a;
           pop_lane();
           continue;
@@ -296,9 +278,8 @@ public:
 
       if (factored_h_ != dt) refactor(dt);
       const double t_next = t + dt;
-      assemble_rhs_block(t_next, dt, a);
-      solver_->solve_block(rhsb_, a, w_);
-      std::swap(xb_, rhsb_);
+      assemble_rhs_block<W>(t_next, dt, a);
+      solve<W>(a);
 
       ++step;
       if ((step & 63) == 0) {
@@ -314,31 +295,43 @@ public:
         if (a == 0) break;
       }
 
-      advance_state(dt, a);
+      advance_state<W>(dt, a);
       t = t_next;
-      record_active(t, a);
+      record_active<W>(t, a);
     }
   }
 
-private:
-  struct Pair {
-    std::size_t a;
-    std::size_t b;
-  };
-
   void refactor(double h) {
+    // A factor that throws leaves no valid key: the next step refactors.
+    factored_h_ = std::numeric_limits<double>::quiet_NaN();
     solver_->clear();
-    detail::assemble_static_stamps(*solver_, nl0_, structure_, h, opt_.gmin, opt_,
-                                   /*cached_path=*/true);
+    detail::assemble_static_stamps(*solver_, nl0_, structure_, h, detail::gmin,
+                                   opt_, /*cached_path=*/true);
     solver_->factor();
     factored_h_ = h;
+  }
+
+  // Solves the assembled RHS block into xb_.  A one-lane block is a plain
+  // vector, so it takes the single-RHS sweep (bitwise equal to a block
+  // lane, and without the blocked loops' per-row lane bookkeeping).
+  template <std::size_t W>
+  void solve(std::size_t a) {
+    if constexpr (W == 1) {
+      solver_->solve_into(rhsb_);
+    } else {
+      solver_->solve_block(rhsb_, a, w_);
+    }
+    std::swap(xb_, rhsb_);
   }
 
   // Blocked RHS assembly.  Device-outer, lane-inner: each lane's column
   // receives exactly the scalar assemble_rhs operation sequence (same
   // expression shapes, same order), so lane values are bitwise-identical to
   // a per-slot run.
+  template <std::size_t W>
   void assemble_rhs_block(double t, double h, std::size_t a) {
+    const std::size_t n = W == 0 ? a : W;  // active lanes
+    const std::size_t w = W == 0 ? w_ : W;  // stride
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
     const bool dc = h <= 0.0;
     const bool trap = opt_.integrator == Integrator::trapezoidal;
@@ -346,23 +339,23 @@ private:
     if (!dc) {
       for (std::size_t k = 0; k < nl0_.capacitors().size(); ++k) {
         const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
-        const auto [pa, pb] = cap_pos_[k];
-        const double* sv = &cap_v_[k * w_];
-        const double* si = &cap_i_[k * w_];
-        for (std::size_t j = 0; j < a; ++j) {
+        const auto [pa, pb] = pos_.caps[k];
+        const double* sv = &cap_v_[k * w];
+        const double* si = &cap_i_[k * w];
+        for (std::size_t j = 0; j < n; ++j) {
           const double ieq = geq * sv[j] + (trap ? si[j] : 0.0);
-          if (pb != npos) rhsb_[pb * w_ + j] -= ieq;
-          if (pa != npos) rhsb_[pa * w_ + j] += ieq;
+          if (pb != npos) rhsb_[pb * w + j] -= ieq;
+          if (pa != npos) rhsb_[pa * w + j] += ieq;
         }
       }
     }
 
     for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
       const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * nl0_.inductors()[k].inductance / h;
-      const double* sv = &ind_v_[k * w_];
-      const double* si = &ind_i_[k * w_];
-      double* row = &rhsb_[ind_pos_[k] * w_];
-      for (std::size_t j = 0; j < a; ++j) {
+      const double* sv = &ind_v_[k * w];
+      const double* si = &ind_i_[k * w];
+      double* row = &rhsb_[pos_.inds[k] * w];
+      for (std::size_t j = 0; j < n; ++j) {
         row[j] = dc ? 0.0 : (trap ? -sv[j] - req * si[j] : -req * si[j]);
       }
     }
@@ -370,20 +363,20 @@ private:
     if (!dc) {
       for (const ckt::MutualInductor& m : nl0_.mutual_inductors()) {
         const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
-        double* rowa = &rhsb_[ind_pos_[m.la] * w_];
-        double* rowb = &rhsb_[ind_pos_[m.lb] * w_];
-        const double* ia = &ind_i_[m.la * w_];
-        const double* ib = &ind_i_[m.lb * w_];
-        for (std::size_t j = 0; j < a; ++j) rowa[j] -= req * ib[j];
-        for (std::size_t j = 0; j < a; ++j) rowb[j] -= req * ia[j];
+        double* rowa = &rhsb_[pos_.inds[m.la] * w];
+        double* rowb = &rhsb_[pos_.inds[m.lb] * w];
+        const double* ia = &ind_i_[m.la * w];
+        const double* ib = &ind_i_[m.lb * w];
+        for (std::size_t j = 0; j < n; ++j) rowa[j] -= req * ib[j];
+        for (std::size_t j = 0; j < n; ++j) rowb[j] -= req * ia[j];
       }
     }
 
     // The only lane-divergent input: each lane evaluates its own source
     // waveforms (the matrix never sees them).
     for (std::size_t k = 0; k < nl0_.vsources().size(); ++k) {
-      double* row = &rhsb_[vsrc_pos_[k] * w_];
-      for (std::size_t j = 0; j < a; ++j) {
+      double* row = &rhsb_[pos_.vsrcs[k] * w];
+      for (std::size_t j = 0; j < n; ++j) {
         row[j] = lane_net_[j]->vsources()[k].voltage.value_at(t);
       }
     }
@@ -400,14 +393,14 @@ private:
         const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
         const double ieq =
             geq * cap_v_[k * w_ + j] + (trap ? cap_i_[k * w_ + j] : 0.0);
-        const auto [pa, pb] = cap_pos_[k];
+        const auto [pa, pb] = pos_.caps[k];
         if (pb != npos) lane_rhs_[pb] -= ieq;
         if (pa != npos) lane_rhs_[pa] += ieq;
       }
     }
     for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
       const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * nl0_.inductors()[k].inductance / h;
-      lane_rhs_[ind_pos_[k]] =
+      lane_rhs_[pos_.inds[k]] =
           dc ? 0.0
              : (trap ? -ind_v_[k * w_ + j] - req * ind_i_[k * w_ + j]
                      : -req * ind_i_[k * w_ + j]);
@@ -415,18 +408,18 @@ private:
     if (!dc) {
       for (const ckt::MutualInductor& m : nl0_.mutual_inductors()) {
         const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
-        lane_rhs_[ind_pos_[m.la]] -= req * ind_i_[m.lb * w_ + j];
-        lane_rhs_[ind_pos_[m.lb]] -= req * ind_i_[m.la * w_ + j];
+        lane_rhs_[pos_.inds[m.la]] -= req * ind_i_[m.lb * w_ + j];
+        lane_rhs_[pos_.inds[m.lb]] -= req * ind_i_[m.la * w_ + j];
       }
     }
     for (std::size_t k = 0; k < nl0_.vsources().size(); ++k) {
-      lane_rhs_[vsrc_pos_[k]] = lane_net_[j]->vsources()[k].voltage.value_at(t);
+      lane_rhs_[pos_.vsrcs[k]] = lane_net_[j]->vsources()[k].voltage.value_at(t);
     }
   }
 
   void seed_state(std::size_t a) {
     for (std::size_t k = 0; k < nl0_.capacitors().size(); ++k) {
-      const auto [pa, pb] = cap_pos_[k];
+      const auto [pa, pb] = pos_.caps[k];
       double* sv = &cap_v_[k * w_];
       for (std::size_t j = 0; j < a; ++j) {
         const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
@@ -436,21 +429,24 @@ private:
     }
     for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
       double* si = &ind_i_[k * w_];
-      const double* row = &xb_[ind_pos_[k] * w_];
+      const double* row = &xb_[pos_.inds[k] * w_];
       for (std::size_t j = 0; j < a; ++j) si[j] = row[j];
     }
   }
 
+  template <std::size_t W>
   void advance_state(double h, std::size_t a) {
+    const std::size_t n = W == 0 ? a : W;  // active lanes
+    const std::size_t w = W == 0 ? w_ : W;  // stride
     const bool trap = opt_.integrator == Integrator::trapezoidal;
     for (std::size_t k = 0; k < nl0_.capacitors().size(); ++k) {
       const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
-      const auto [pa, pb] = cap_pos_[k];
-      double* sv = &cap_v_[k * w_];
-      double* si = &cap_i_[k * w_];
-      for (std::size_t j = 0; j < a; ++j) {
-        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
-        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
+      const auto [pa, pb] = pos_.caps[k];
+      double* sv = &cap_v_[k * w];
+      double* si = &cap_i_[k * w];
+      for (std::size_t j = 0; j < n; ++j) {
+        const double va = pa == npos ? 0.0 : xb_[pa * w + j];
+        const double vb = pb == npos ? 0.0 : xb_[pb * w + j];
         const double v_new = va - vb;
         const double i_new =
             trap ? geq * (v_new - sv[j]) - si[j] : geq * (v_new - sv[j]);
@@ -459,23 +455,26 @@ private:
       }
     }
     for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
-      const auto [pa, pb] = ind_nodes_[k];
-      double* si = &ind_i_[k * w_];
-      double* sv = &ind_v_[k * w_];
-      const double* row = &xb_[ind_pos_[k] * w_];
-      for (std::size_t j = 0; j < a; ++j) {
+      const auto [pa, pb] = pos_.ind_nodes[k];
+      double* si = &ind_i_[k * w];
+      double* sv = &ind_v_[k * w];
+      const double* row = &xb_[pos_.inds[k] * w];
+      for (std::size_t j = 0; j < n; ++j) {
         si[j] = row[j];
-        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
-        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
+        const double va = pa == npos ? 0.0 : xb_[pa * w + j];
+        const double vb = pb == npos ? 0.0 : xb_[pb * w + j];
         sv[j] = va - vb;
       }
     }
   }
 
+  template <std::size_t W>
   void record_active(double t, std::size_t a) {
-    for (std::size_t j = 0; j < a; ++j) {
+    const std::size_t n = W == 0 ? a : W;  // active lanes
+    const std::size_t w = W == 0 ? w_ : W;  // stride
+    for (std::size_t j = 0; j < n; ++j) {
       for (std::size_t p = 0; p < probe_pos_.size(); ++p) {
-        probe_vals_[p] = probe_pos_[p] == npos ? 0.0 : xb_[probe_pos_[p] * w_ + j];
+        probe_vals_[p] = probe_pos_[p] == npos ? 0.0 : xb_[probe_pos_[p] * w + j];
       }
       results_[j].record_probe_values(t, probe_vals_);
     }
@@ -503,43 +502,32 @@ private:
     out_[lane_slot_[j]].result = std::move(results_[j]);
   }
 
-  // Shortened final step (h = t_stop - t < dt), run on a dedicated tail
-  // solver: identical stamps + identical factorization algorithm produce
-  // the factor the scalar engine's in-place refactor would, so the lane's
-  // last sample is bitwise-identical too.
-  void partial_step(std::size_t j, double t, std::int64_t step) {
+  // Shortened final step (h = t_stop - t < dt), on the main solver
+  // refactored in place at h; the next full step refactors it back at dt.
+  // Lanes sharing a horizon retire on one refactor.  Identical stamps +
+  // identical factorization algorithm give the factor a one-lane run uses,
+  // so the last sample is bitwise equal.
+  void partial_step(std::size_t j, double t) {
     try {
       if (lane_budget_[j]) lane_budget_[j]->charge_transient_steps(1, "transient");
       const double h = lane_tstop_[j] - t;
       const double t_next = t + h;
-      if (!tail_) tail_ = detail::make_solver(structure_, opt_);
-      tail_->clear();
-      detail::assemble_static_stamps(*tail_, nl0_, structure_, h, opt_.gmin, opt_,
-                                     /*cached_path=*/true);
-      tail_->factor();
+      if (factored_h_ != h) refactor(h);
       assemble_rhs_lane(t_next, h, j);
-      tail_->solve_into(lane_rhs_);
-      const bool finite = [&] {
-        for (double v : lane_rhs_) {
-          if (!std::isfinite(v)) return false;
+      solver_->solve_into(lane_rhs_);
+      // The periodic and the final non-finite guard both judge this last
+      // solution, so one check covers them.
+      for (double v : lane_rhs_) {
+        if (!std::isfinite(v)) {
+          fail_nonfinite(j);
+          return;
         }
-        return true;
-      }();
-      // Periodic guard at this lane's step count, then the final guard —
-      // both collapse to the same verdict on the final solution.
-      if (((step + 1) & 63) == 0 && !finite) {
-        fail_nonfinite(j);
-        return;
       }
       for (std::size_t p = 0; p < probe_pos_.size(); ++p) {
         probe_vals_[p] =
             probe_pos_[p] == npos ? 0.0 : lane_rhs_[probe_pos_[p]];
       }
       results_[j].record_probe_values(t_next, probe_vals_);
-      if (!finite) {
-        fail_nonfinite(j);
-        return;
-      }
       out_[lane_slot_[j]].result = std::move(results_[j]);
     } catch (...) {
       out_[lane_slot_[j]].error = std::current_exception();
@@ -580,16 +568,11 @@ private:
   const Netlist& nl0_;
   MnaStructure structure_;
   std::size_t m_;
+  SolverKind kind_;
   std::unique_ptr<detail::LinearSolver> solver_;
-  std::unique_ptr<detail::LinearSolver> tail_;
+  detail::DevicePositions pos_;
   std::vector<NodeId> probes_;
   std::span<BlockOutcome> out_;
-
-  std::vector<std::size_t> node_pos_;
-  std::vector<Pair> cap_pos_;
-  std::vector<std::size_t> ind_pos_;
-  std::vector<Pair> ind_nodes_;
-  std::vector<std::size_t> vsrc_pos_;
   std::vector<std::size_t> probe_pos_;
 
   // Active-lane bookkeeping, sorted by descending t_stop.

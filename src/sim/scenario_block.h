@@ -1,4 +1,5 @@
-// Shared-factorization multi-RHS scenario batching.
+// Shared-factorization multi-RHS scenario batching — and the one linear
+// stepping loop of the simulator.
 //
 // A characterization sweep runs the same linear replay deck hundreds of
 // times with only the source waveform (slew) and stop time changing: the
@@ -8,15 +9,19 @@
 // simulate_block() instead factors the static image once per (group, step
 // size) and advances all scenarios in lockstep, one blocked n x k solve per
 // time step, with SoA state/waveform storage so the per-step inner loops
-// run contiguously across lanes and vectorize.
+// run contiguously across lanes and vectorize.  sim::simulate() runs every
+// linear cached deck through here as a one-lane block, so a lone transient
+// and a lane of a batch share one stepping loop.
 //
 // Bitwise contract: each lane of a block executes exactly the operation
-// sequence of sim::simulate() on that scenario alone — same stamp order,
+// sequence of a one-lane block on that scenario alone — same stamp order,
 // same factorization (of the same matrix), same per-lane solve sequence
 // (util's solve_block replicates even the value-dependent skips per lane),
-// same time accumulation and record points.  Batched waveforms are
-// therefore bitwise-identical to per-slot waveforms, not merely close; the
-// equivalence and property suites assert that across all three backends.
+// same time accumulation and record points — and that sequence is the one
+// the `naive` scalar engine runs, minus its per-step refactor.  Batched
+// waveforms are therefore bitwise-identical to per-slot (and naive)
+// waveforms, not merely close; the equivalence and property suites assert
+// that across all three backends.
 //
 // Grouping safety: callers decide which scenarios may share a factorization
 // with scenario_group_hash() (a cheap bucket key) confirmed by
@@ -49,7 +54,9 @@ namespace rlceff::sim {
 // to every other lane's netlist (same topology and element values; only the
 // voltage-source *waveforms* may differ).  The optional tracker is charged
 // one transient step per accepted step, exactly like TransientOptions::
-// budget in the scalar engine, but failures are confined to this lane.
+// budget in the naive scalar engine, but failures are confined to this
+// lane.  A one-lane block also checkpoints it inside the sparse factor and
+// solve.
 struct BlockScenario {
   const ckt::Netlist* netlist = nullptr;
   double t_stop = 0.0;
@@ -57,7 +64,7 @@ struct BlockScenario {
 };
 
 // Per-lane outcome: exactly one of `result` / `error` is set.  The error is
-// whatever the scalar engine would have thrown for that scenario alone
+// whatever sim::simulate would have thrown for that scenario alone
 // (BudgetError, DeadlineError, SingularMatrixError, ...).
 struct BlockOutcome {
   std::optional<TransientResult> result;
@@ -66,8 +73,8 @@ struct BlockOutcome {
 
 // Bucket key for grouping: hashes the netlist topology and element values
 // (every double at full bit precision) and the matrix-shaping simulation
-// options (dt, gmin, integrator, solver, assembly, debug hooks — not
-// t_stop, not the budget) — everything the factored matrix depends on,
+// options (dt, integrator, solver, assembly, debug hooks — not t_stop, not
+// the budget) — everything the factored matrix depends on,
 // nothing the RHS alone depends on (source waveforms are excluded).
 std::uint64_t scenario_group_hash(const ckt::Netlist& netlist,
                                   const TransientOptions& options);

@@ -46,23 +46,38 @@ void stamp_conductance(LinearSolver& solver, const ckt::MnaStructure& structure,
 
 }  // namespace
 
-SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
+DevicePositions::DevicePositions(const ckt::Netlist& nl,
+                                 const ckt::MnaStructure& structure)
+    : nodes(nl.node_count(), npos) {
+  for (NodeId n = 1; n < nl.node_count(); ++n) nodes[n] = structure.node_index(n);
+  for (const ckt::Capacitor& c : nl.capacitors()) caps.push_back({node(c.a), node(c.b)});
+  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
+    const ckt::Inductor& l = nl.inductors()[k];
+    inds.push_back(structure.inductor_index(k));
+    ind_nodes.push_back({node(l.a), node(l.b)});
+  }
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
+    vsrcs.push_back(structure.vsource_index(k));
+  }
+}
+
+SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
                                const TransientOptions& options) {
   if (options.solver != SolverKind::automatic) return options.solver;
-  if (bandwidth_is_narrow(n, bw)) return SolverKind::banded;
-  if (sparse_is_cheaper(n, nnz)) return SolverKind::sparse;
+  const std::size_t n = structure.unknown_count();
+  if (bandwidth_is_narrow(n, structure.bandwidth())) return SolverKind::banded;
+  if (sparse_is_cheaper(n, structure.pattern_nonzeros())) return SolverKind::sparse;
   return SolverKind::dense;
 }
 
 std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,
-                                          const TransientOptions& options) {
+                                          SolverKind kind, util::ExecTracker* budget) {
   const std::size_t n = structure.unknown_count();
-  switch (resolve_solver_kind(n, structure.bandwidth(), structure.pattern_nonzeros(),
-                              options)) {
+  switch (kind) {
     case SolverKind::banded:
       return std::make_unique<BandedSolver>(n, structure.bandwidth());
     case SolverKind::sparse:
-      return std::make_unique<SparseSolver>(structure, options.budget);
+      return std::make_unique<SparseSolver>(structure, budget);
     default:
       return std::make_unique<DenseSolver>(n);
   }

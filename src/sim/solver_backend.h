@@ -1,5 +1,7 @@
-// Internal solver backends shared by the scalar transient engine
-// (sim/transient.cpp) and the blocked scenario engine (sim/scenario_block.cpp).
+// Internal solver backends shared by the scalar Newton engine
+// (sim/transient.cpp: MOSFET decks, DC operating points, the naive
+// reference) and the block engine (sim/scenario_block.cpp: every linear
+// cached transient, one lane or many).
 //
 // This is the factor-once contract in one place: a LinearSolver assembles a
 // "working" matrix, snapshots/restores it at memcpy cost, factors it in
@@ -7,8 +9,8 @@
 // at a time (solve_into) or a whole n x k scenario block (solve_block, each
 // lane bitwise-identical to a single-RHS solve).  Keeping both engines on
 // the same backend classes and the same static-stamp sequence is what makes
-// "batched waveforms bitwise-identical to the per-slot path" a structural
-// property instead of a numerical accident.
+// "cached waveforms bitwise-identical to naive ones" a structural property
+// instead of a numerical accident.
 //
 // Not installed API: everything here lives in sim::detail and may change
 // freely; callers outside src/sim use sim/transient.h and
@@ -20,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "circuit/mna.h"
 #include "circuit/netlist.h"
@@ -106,8 +109,8 @@ private:
 // assembly contract (identical stamp sequence into identical storage) holds
 // bitwise just like the dense/banded backends.  The budget tracker is
 // threaded into factor/solve so one large factorization honors deadlines and
-// cancellation from the inside (null in the blocked engine, whose budgets
-// are per scenario lane).
+// cancellation from the inside (null in a multi-lane block, whose budgets
+// are per scenario lane; a one-lane block threads its lane's tracker).
 class SparseSolver final : public LinearSolver {
 public:
   SparseSolver(const ckt::MnaStructure& structure, util::ExecTracker* budget)
@@ -138,13 +141,43 @@ private:
   util::ExecTracker* budget_;
 };
 
-// The selection heuristic behind SolverKind::automatic (see
-// sim::selected_solver for the contract).
-SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
+// Unknown indices of every device terminal and branch, resolved once per
+// deck so the per-step loops of both engines are pure array indexing
+// (MnaStructure::node_index() revalidates its arguments on every call).
+// Ground resolves to npos.
+struct DevicePositions {
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  struct Pair {
+    std::size_t a;
+    std::size_t b;
+  };
+
+  DevicePositions(const ckt::Netlist& nl, const ckt::MnaStructure& structure);
+
+  std::size_t node(ckt::NodeId n) const { return n == ckt::ground ? npos : nodes[n]; }
+
+  std::vector<std::size_t> nodes;  // by NodeId
+  std::vector<Pair> caps;          // capacitor terminals
+  std::vector<std::size_t> inds;   // inductor branch currents
+  std::vector<Pair> ind_nodes;     // inductor terminals
+  std::vector<std::size_t> vsrcs;  // voltage-source branch currents
+};
+
+// Conductance to ground at every node [S]: keeps floating nodes and off
+// MOSFETs regular.  The DC solve steps down to it from 1e-3 S when Newton
+// fails at this value directly.
+inline constexpr double gmin = 1e-12;
+
+// The backend a deck with this MNA structure factors with under `options`:
+// the override, or the heuristic behind SolverKind::automatic (see
+// sim::selected_solver for the contract).  Never returns `automatic`.
+SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
                                const TransientOptions& options);
 
+// A backend of `kind` (not `automatic`).  `budget` (nullable) is
+// checkpointed inside the sparse factor and single-RHS solve.
 std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,
-                                          const TransientOptions& options);
+                                          SolverKind kind, util::ExecTracker* budget);
 
 // Stamps every matrix entry that depends only on (h, gmin): gmin loading,
 // resistors, companion conductances, and the branch incidence rows of

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "circuit/mna.h"
+#include "sim/scenario_block.h"
 #include "sim/solver_backend.h"
 #include "util/error.h"
 #include "util/linalg.h"
@@ -21,7 +22,14 @@ using ckt::MnaStructure;
 using ckt::Netlist;
 using ckt::NodeId;
 using detail::LinearSolver;
-using detail::make_solver;
+constexpr std::size_t npos = detail::DevicePositions::npos;
+
+// Newton controls of the scalar engine.  An iterate is accepted once no
+// unknown moves by more than the absolute tolerance plus the relative one
+// at a 1 V scale; larger updates are damped to newton_damping_v.
+constexpr double newton_v_abstol = 1e-6;  // [V]
+constexpr double newton_rel_tol = 1e-6;
+constexpr double newton_damping_v = 0.6;  // max voltage change per iteration [V]
 
 // Dynamic state carried between time steps.
 struct CapacitorState {
@@ -39,6 +47,9 @@ struct DynamicState {
   std::vector<InductorState> inds;
 };
 
+// The scalar Newton engine: MOSFET decks, DC operating points, and the
+// `naive` reference.  Linear cached transients never come here (simulate()
+// runs them as a one-lane block).
 class Engine {
 public:
   Engine(const Netlist& netlist, const TransientOptions& options)
@@ -48,70 +59,51 @@ public:
         m_(structure_.unknown_count()),
         linear_(netlist.mosfets().empty()),
         cached_(options.assembly == AssemblyMode::cached),
-        solver_(make_solver(structure_, options)),
+        kind_(detail::resolve_solver_kind(structure_, options)),
+        solver_(detail::make_solver(structure_, kind_, options.budget)),
+        pos_(netlist, structure_),
         rhs_(m_, 0.0),
         x_(m_, 0.0),
         x_new_(m_, 0.0) {
-    // Resolve every unknown index once so the per-step loops are pure array
-    // indexing (node_index() revalidates its arguments on every call).
-    node_pos_.resize(nl_.node_count(), npos);
-    for (NodeId n = 1; n < nl_.node_count(); ++n) {
-      node_pos_[n] = structure_.node_index(n);
-    }
-    cap_pos_.reserve(nl_.capacitors().size());
-    for (const ckt::Capacitor& c : nl_.capacitors()) {
-      cap_pos_.push_back({c.a == ground ? npos : node_pos_[c.a],
-                          c.b == ground ? npos : node_pos_[c.b]});
-    }
-    ind_pos_.resize(nl_.inductors().size());
-    for (std::size_t k = 0; k < nl_.inductors().size(); ++k) {
-      ind_pos_[k] = structure_.inductor_index(k);
-    }
-    vsrc_pos_.resize(nl_.vsources().size());
-    for (std::size_t k = 0; k < nl_.vsources().size(); ++k) {
-      vsrc_pos_[k] = structure_.vsource_index(k);
-    }
     mos_pos_.reserve(nl_.mosfets().size());
     for (const ckt::Mosfet& mos : nl_.mosfets()) {
-      mos_pos_.push_back({mos.drain == ground ? npos : node_pos_[mos.drain],
-                          mos.gate == ground ? npos : node_pos_[mos.gate],
-                          mos.source == ground ? npos : node_pos_[mos.source]});
+      mos_pos_.push_back(
+          {pos_.node(mos.drain), pos_.node(mos.gate), pos_.node(mos.source)});
     }
   }
 
   const MnaStructure& structure() const { return structure_; }
 
+  SolverKind solver_kind() const { return kind_; }
+
   std::span<const double> solution() const { return x_; }
 
-  double voltage(NodeId n) const { return n == ground ? 0.0 : x_[node_pos_[n]]; }
+  double voltage(NodeId n) const { return n == ground ? 0.0 : x_[pos_.nodes[n]]; }
 
-  double inductor_current(std::size_t k) const { return x_[ind_pos_[k]]; }
+  double inductor_current(std::size_t k) const { return x_[pos_.inds[k]]; }
 
-  // Copies the node-voltage part of the solution into `out` (indexed by
-  // NodeId, ground stays 0); used by the recording loop without re-resolving
-  // unknown indices.
-  void node_voltages_into(std::span<double> out) const {
-    for (NodeId n = 1; n < nl_.node_count(); ++n) out[n] = x_[node_pos_[n]];
+  // Resolves the probe positions once; record() then reads only those.
+  void set_probes(std::span<const NodeId> probes) {
+    probe_pos_.clear();
+    for (NodeId p : probes) probe_pos_.push_back(pos_.node(p));
+    probe_vals_.assign(probe_pos_.size(), 0.0);
+  }
+
+  void record(double t, TransientResult& result) {
+    for (std::size_t p = 0; p < probe_pos_.size(); ++p) {
+      probe_vals_[p] = probe_pos_[p] == npos ? 0.0 : x_[probe_pos_[p]];
+    }
+    result.record_probe_values(t, probe_vals_);
   }
 
   // Solves one (DC or companion-model) nonlinear system at time `t` with
   // step `h` (h <= 0 selects DC: capacitors open, inductors shorted) and
   // leaves the solution in x_ (also the initial Newton guess).
   void newton(double t, double h, const DynamicState& state, double gmin) {
-    if (linear_ && cached_) {
-      // Factor-once fast path: the companion matrix depends only on (h, gmin),
-      // so a whole fixed-step run is one factorization plus a substitution
-      // sweep per step.  Nothing in here allocates.
-      ensure_factored(h, gmin);
-      assemble_rhs(t, h, state);
-      solver_->solve_into(rhs_);
-      std::swap(x_, rhs_);
-      return;
-    }
-
     if (cached_) ensure_static(h, gmin);
     const int max_newton = util::capped_iterations(
-        opt_.max_newton, opt_.budget ? opt_.budget->spec().max_newton_iter : 0);
+        util::iter_defaults::newton,
+        opt_.budget ? opt_.budget->spec().max_newton_iter : 0);
     for (int iter = 0; iter < max_newton; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
       if (cached_) {
@@ -137,16 +129,16 @@ public:
       for (std::size_t k = 0; k < m_; ++k) {
         max_dv = std::max(max_dv, std::abs(x_new_[k] - x_[k]));
       }
-      if (max_dv < opt_.v_abstol + opt_.rel_tol * 1.0) {
+      if (max_dv < newton_v_abstol + newton_rel_tol * 1.0) {
         std::swap(x_, x_new_);
         return;
       }
 
       // Damped update keeps the MOSFET linearization inside its trust region.
-      const double scale = std::min(1.0, opt_.newton_damping_v / max_dv);
+      const double scale = std::min(1.0, newton_damping_v / max_dv);
       for (std::size_t k = 0; k < m_; ++k) x_[k] += scale * (x_new_[k] - x_[k]);
     }
-    if (max_newton < opt_.max_newton) {
+    if (max_newton < util::iter_defaults::newton) {
       throw BudgetError("transient: Newton iteration budget of " +
                         std::to_string(max_newton) + " exhausted");
     }
@@ -155,8 +147,7 @@ public:
 
   // Non-finite solution guard: a NaN/Inf stamp (or a numerically destroyed
   // factorization) propagates through the whole solution vector; surface it
-  // as a singular-system failure instead of letting NaN waveforms escape the
-  // linear fast path, which has no convergence check of its own.
+  // as a singular-system failure instead of letting NaN waveforms escape.
   bool solution_finite() const {
     for (double v : x_) {
       if (!std::isfinite(v)) return false;
@@ -165,21 +156,9 @@ public:
   }
 
 private:
-  // Re-assembles (and for linear circuits factors) the static matrix only
-  // when the step size or gmin changed: once for DC, once for the regular
-  // step, and once more for a shortened final step.
-  void ensure_factored(double h, double gmin) {
-    if (factored_valid_ && h == static_h_ && gmin == static_gmin_) return;
-    solver_->clear();
-    detail::assemble_static_stamps(*solver_, nl_, structure_, h, gmin, opt_,
-                                   cached_);
-    solver_->factor();
-    factored_valid_ = true;
-    static_valid_ = false;
-    static_h_ = h;
-    static_gmin_ = gmin;
-  }
-
+  // Re-assembles the static image only when the step size or gmin changed:
+  // once per gmin for DC, once for the regular step, and once more for a
+  // shortened final step.
   void ensure_static(double h, double gmin) {
     if (static_valid_ && h == static_h_ && gmin == static_gmin_) return;
     solver_->clear();
@@ -187,7 +166,6 @@ private:
                                    cached_);
     solver_->save_static();
     static_valid_ = true;
-    factored_valid_ = false;
     static_h_ = h;
     static_gmin_ = gmin;
   }
@@ -205,7 +183,7 @@ private:
         const double geq = (trap ? 2.0 : 1.0) * nl_.capacitors()[k].capacitance / h;
         const double ieq = geq * s.v + (trap ? s.i : 0.0);
         // Norton companion: device current = geq * v - ieq, flowing b -> a.
-        const auto [ia, ib] = cap_pos_[k];
+        const auto [ia, ib] = pos_.caps[k];
         if (ib != npos) rhs_[ib] -= ieq;
         if (ia != npos) rhs_[ia] += ieq;
       }
@@ -214,20 +192,20 @@ private:
     for (std::size_t k = 0; k < nl_.inductors().size(); ++k) {
       const InductorState& s = state.inds[k];
       const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * nl_.inductors()[k].inductance / h;
-      rhs_[ind_pos_[k]] = dc ? 0.0 : (trap ? -s.v - req * s.i : -req * s.i);
+      rhs_[pos_.inds[k]] = dc ? 0.0 : (trap ? -s.v - req * s.i : -req * s.i);
     }
 
     if (!dc) {
       // History term of the mutual coupling, mirroring the matrix stamp.
       for (const ckt::MutualInductor& m : nl_.mutual_inductors()) {
         const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
-        rhs_[ind_pos_[m.la]] -= req * state.inds[m.lb].i;
-        rhs_[ind_pos_[m.lb]] -= req * state.inds[m.la].i;
+        rhs_[pos_.inds[m.la]] -= req * state.inds[m.lb].i;
+        rhs_[pos_.inds[m.lb]] -= req * state.inds[m.la].i;
       }
     }
 
     for (std::size_t k = 0; k < nl_.vsources().size(); ++k) {
-      rhs_[vsrc_pos_[k]] = nl_.vsources()[k].voltage.value_at(t);
+      rhs_[pos_.vsrcs[k]] = nl_.vsources()[k].voltage.value_at(t);
     }
   }
 
@@ -262,13 +240,6 @@ private:
     }
   }
 
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  struct CapPos {
-    std::size_t a;
-    std::size_t b;
-  };
-
   struct MosPos {
     std::size_t drain;
     std::size_t gate;
@@ -281,14 +252,14 @@ private:
   std::size_t m_;
   bool linear_;
   bool cached_;
+  SolverKind kind_;
   std::unique_ptr<LinearSolver> solver_;
 
   // Unknown indices resolved once at construction (npos = ground).
-  std::vector<std::size_t> node_pos_;
-  std::vector<CapPos> cap_pos_;
-  std::vector<std::size_t> ind_pos_;
-  std::vector<std::size_t> vsrc_pos_;
+  detail::DevicePositions pos_;
   std::vector<MosPos> mos_pos_;
+  std::vector<std::size_t> probe_pos_;
+  std::vector<double> probe_vals_;
 
   // Preallocated workspaces: the time-step loop never allocates.
   std::vector<double> rhs_;
@@ -298,20 +269,18 @@ private:
   // Cache key of the static assembly currently held by the solver.
   double static_h_ = std::numeric_limits<double>::quiet_NaN();
   double static_gmin_ = std::numeric_limits<double>::quiet_NaN();
-  bool factored_valid_ = false;  // solver holds the factored static matrix
-  bool static_valid_ = false;    // solver holds an unfactored static image
+  bool static_valid_ = false;  // solver holds the static image for the key
 };
 
-void solve_dc(Engine& engine, const TransientOptions& options,
-              const DynamicState& state) {
+void solve_dc(Engine& engine, const DynamicState& state) {
   try {
-    engine.newton(0.0, 0.0, state, options.gmin);
+    engine.newton(0.0, 0.0, state, detail::gmin);
   } catch (const ConvergenceError&) {
     // gmin stepping: solve a heavily damped system first and walk gmin down.
-    for (double gmin = 1e-3; gmin >= options.gmin; gmin *= 1e-2) {
+    for (double gmin = 1e-3; gmin >= detail::gmin; gmin *= 1e-2) {
       engine.newton(0.0, 0.0, state, gmin);
     }
-    engine.newton(0.0, 0.0, state, options.gmin);
+    engine.newton(0.0, 0.0, state, detail::gmin);
   }
 }
 
@@ -342,13 +311,12 @@ SolverKind solver_kind_from_string(std::string_view name) {
 
 SolverKind selected_solver(const ckt::Netlist& netlist,
                            const TransientOptions& options) {
-  const MnaStructure structure(netlist);
-  return detail::resolve_solver_kind(structure.unknown_count(), structure.bandwidth(),
-                                     structure.pattern_nonzeros(), options);
+  return detail::resolve_solver_kind(MnaStructure(netlist), options);
 }
 
-TransientResult::TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps)
-    : probes_(std::move(probes)), waves_(probes_.size()) {
+TransientResult::TransientResult(std::vector<ckt::NodeId> probes,
+                                 std::size_t reserve_steps, SolverKind solver)
+    : probes_(std::move(probes)), waves_(probes_.size()), solver_(solver) {
   for (wave::Waveform& w : waves_) w.reserve(reserve_steps);
 }
 
@@ -357,12 +325,6 @@ const wave::Waveform& TransientResult::at(ckt::NodeId node) const {
     if (probes_[k] == node) return waves_[k];
   }
   throw Error("TransientResult: node was not probed");
-}
-
-void TransientResult::record(double time, std::span<const double> node_voltages) {
-  for (std::size_t k = 0; k < probes_.size(); ++k) {
-    waves_[k].append(time, node_voltages[probes_[k]]);
-  }
 }
 
 void TransientResult::record_probe_values(double time,
@@ -377,7 +339,7 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
   Engine engine(netlist, options);
   DynamicState state{std::vector<CapacitorState>(netlist.capacitors().size()),
                      std::vector<InductorState>(netlist.inductors().size())};
-  solve_dc(engine, options, state);
+  solve_dc(engine, state);
   const std::span<const double> x = engine.solution();
 
   OperatingPoint op;
@@ -399,11 +361,21 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes) {
   ensure(options.t_stop > 0.0 && options.dt > 0.0, "simulate: bad time range");
-  Engine engine(netlist, options);
+  if (netlist.mosfets().empty() && options.assembly == AssemblyMode::cached) {
+    // One linear stepping loop: the deck is a one-lane block carrying the
+    // caller's budget as its lane tracker.
+    TransientOptions block_options = options;
+    block_options.budget = nullptr;
+    const BlockScenario lane{&netlist, options.t_stop, options.budget};
+    BlockOutcome out = std::move(simulate_block({&lane, 1}, block_options, probes)[0]);
+    if (out.error) std::rethrow_exception(out.error);
+    return std::move(*out.result);
+  }
 
+  Engine engine(netlist, options);
   DynamicState state{std::vector<CapacitorState>(netlist.capacitors().size()),
                      std::vector<InductorState>(netlist.inductors().size())};
-  solve_dc(engine, options, state);
+  solve_dc(engine, state);
 
   // Seed device state from the operating point (capacitor currents and
   // inductor voltages are zero in steady state).
@@ -418,13 +390,10 @@ TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& op
   }
 
   TransientResult result(std::vector<ckt::NodeId>(probes.begin(), probes.end()),
-                         static_cast<std::size_t>(options.t_stop / options.dt) + 2);
-  std::vector<double> node_v(netlist.node_count(), 0.0);
-  auto record = [&](double t) {
-    engine.node_voltages_into(node_v);
-    result.record(t, node_v);
-  };
-  record(0.0);
+                         static_cast<std::size_t>(options.t_stop / options.dt) + 2,
+                         engine.solver_kind());
+  engine.set_probes(probes);
+  engine.record(0.0, result);
 
   const bool trap = options.integrator == Integrator::trapezoidal;
   double t = 0.0;
@@ -433,7 +402,7 @@ TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& op
     if (options.budget) options.budget->charge_transient_steps(1, "transient");
     const double h = std::min(options.dt, options.t_stop - t);
     const double t_next = t + h;
-    engine.newton(t_next, h, state, options.gmin);
+    engine.newton(t_next, h, state, detail::gmin);
     // Periodic (cheap, amortized) non-finite guard; see solution_finite().
     if ((++step & 63) == 0 && !engine.solution_finite()) {
       throw SingularMatrixError("transient: non-finite solution (singular or "
@@ -458,7 +427,7 @@ TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& op
     }
 
     t = t_next;
-    record(t);
+    engine.record(t, result);
   }
   if (!engine.solution_finite()) {
     throw SingularMatrixError("transient: non-finite solution (singular or "

@@ -8,6 +8,11 @@
 // compressed-sparse LU with fill-reducing ordering for large trees and wide
 // coupled buses, or the dense LU for small/pathological systems — selected
 // automatically per netlist (selected_solver) unless overridden.
+//
+// There is one linear stepping loop: a MOSFET-free deck under cached
+// assembly runs as a one-lane block of the shared-factorization engine
+// (sim/scenario_block.h).  The scalar Newton engine in transient.cpp serves
+// MOSFET decks, DC operating points, and the `naive` reference.
 #ifndef RLCEFF_SIM_TRANSIENT_H
 #define RLCEFF_SIM_TRANSIENT_H
 
@@ -43,34 +48,29 @@ SolverKind solver_kind_from_string(std::string_view name);
 // `cached` splits assembly into a static image (topology, linear device
 // stamps, and companion conductances — functions of the step size only) and
 // per-step dynamics (RHS sources, companion currents, MOSFET linearization).
-// Linear circuits factor the static matrix once per step size and do a pure
-// substitution per step; nonlinear circuits restore the static image by
-// memcpy each Newton iteration and restamp only the MOSFET entries.  Both
-// paths produce bitwise-identical stamp sequences to `naive`, which rebuilds
-// and refactors the full Jacobian every iteration and is kept as the
-// reference for equivalence tests and the factor-once speedup benchmark.
+// Linear circuits run as a one-lane block (sim/scenario_block.h), which
+// factors the static matrix once per step size and does a pure substitution
+// per step; nonlinear circuits restore the static image by memcpy each
+// Newton iteration and restamp only the MOSFET entries.  Both paths produce
+// bitwise-identical stamp sequences to `naive`, which rebuilds and refactors
+// the full Jacobian every iteration in the scalar engine and is kept as the
+// independent reference for equivalence tests and the factor-once speedup
+// benchmark.
 enum class AssemblyMode { cached, naive };
 
 struct TransientOptions {
   double t_stop = 1e-9;     // simulation end time [s]
   double dt = 0.1e-12;      // fixed time step [s]
   Integrator integrator = Integrator::trapezoidal;
-  double gmin = 1e-12;      // conductance to ground at every node [S]
-  double v_abstol = 1e-6;   // Newton voltage convergence [V]
-  double i_abstol = 1e-9;   // Newton branch-current convergence [A]
-  double rel_tol = 1e-6;
-  // Newton ceiling; precedence per util/budget.h: the loop runs at most
-  // capped_iterations(max_newton, budget->spec().max_newton_iter) iterations
-  // and raises BudgetError (instead of ConvergenceError) when the budget was
-  // the binding cap.
-  int max_newton = util::iter_defaults::newton;
   // Cooperative execution budget (see util/budget.h): when set, the step
   // loop charges every accepted time step against max_transient_steps and
   // every step/Newton iteration checkpoints the deadline and cancel token,
   // raising DeadlineError/BudgetError promptly instead of running the
-  // horizon out.  Null (default) costs one branch per checkpoint.
+  // horizon out.  Newton runs at most capped_iterations(iter_defaults::
+  // newton, max_newton_iter) iterations and raises BudgetError (instead of
+  // ConvergenceError) when the budget was the binding cap.  Null (default)
+  // costs one branch per checkpoint.
   util::ExecTracker* budget = nullptr;
-  double newton_damping_v = 0.6;  // max voltage change accepted per iteration [V]
   AssemblyMode assembly = AssemblyMode::cached;
   // Linear-solver override: `automatic` applies the selection heuristic (see
   // selected_solver); any other value forces that backend.
@@ -90,25 +90,24 @@ struct TransientOptions {
   bool debug_cached_stamp_nan = false;
 };
 
-// Simulation output: one sampled waveform per probed node.
+// Simulation output: one sampled waveform per probed node, plus the backend
+// that factored the deck (never `automatic`).
 class TransientResult {
 public:
-  TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps);
+  TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps,
+                  SolverKind solver);
 
   const std::vector<ckt::NodeId>& probes() const { return probes_; }
   const wave::Waveform& at(ckt::NodeId node) const;
+  SolverKind solver() const { return solver_; }
 
-  void record(double time, std::span<const double> node_voltages);
-
-  // Like record(), but `per_probe` is already in probe order (one value per
-  // probes() entry) instead of indexed by NodeId.  Used by the blocked
-  // scenario engine, whose solution storage is lane-major rather than a full
-  // node-voltage vector.
+  // Appends one sample per probe; `per_probe` is in probes() order.
   void record_probe_values(double time, std::span<const double> per_probe);
 
 private:
   std::vector<ckt::NodeId> probes_;
   std::vector<wave::Waveform> waves_;
+  SolverKind solver_;
 };
 
 // DC operating point: node voltages indexed by NodeId (ground included as 0)
@@ -133,6 +132,8 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
                                   const TransientOptions& options = {});
 
 // Runs a transient from the DC operating point, recording the probed nodes.
+// Throws the typed error of whatever stopped the run (BudgetError,
+// DeadlineError, SingularMatrixError for a non-finite solution, ...).
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes);
 

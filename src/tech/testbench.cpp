@@ -36,6 +36,7 @@ NetSimResult collect_net_result(const sim::TransientResult& res, ckt::NodeId out
     result.probes.emplace_back(name, res.at(node));
   }
   result.input_time_50 = input_time_50;
+  result.solver = res.solver();
   return result;
 }
 
@@ -44,11 +45,8 @@ NetSimResult run_net_deck(ckt::Netlist& nl, ckt::NodeId out,
                           const DeckOptions& options) {
   std::vector<ckt::NodeId> probes;
   add_net_probes(probes, out, nodes);
-  const sim::TransientOptions so = sim_options(options);
-  const sim::TransientResult res = sim::simulate(nl, so, probes);
-  NetSimResult result = collect_net_result(res, out, nodes, input_time_50);
-  result.solver = sim::selected_solver(nl, so);
-  return result;
+  const sim::TransientResult res = sim::simulate(nl, sim_options(options), probes);
+  return collect_net_result(res, out, nodes, input_time_50);
 }
 
 }  // namespace
@@ -68,19 +66,6 @@ SourceNetDeck compile_source_net(const wave::Pwl& source, const net::Net& net,
   deck.nodes = ckt::append_net(deck.netlist, deck.out, net, options.segments);
   add_net_probes(deck.probes, deck.out, deck.nodes);
   return deck;
-}
-
-NetSimResult collect_source_result(const SourceNetDeck& deck,
-                                   const sim::TransientResult& res,
-                                   const wave::Pwl& source) {
-  NetSimResult result = collect_net_result(res, deck.out, deck.nodes, 0.0);
-  // For an ideal source the "input" and near end coincide; report the source
-  // 50 % crossing so sink delays have a reference.
-  const double v_final = source.final_value();
-  result.input_time_50 =
-      result.near_end.first_crossing(0.5 * v_final, v_final > 0.0)
-          .value_or(source.start_time());
-  return result;
 }
 
 const wave::Waveform& NetSimResult::probe(std::string_view name) const {
@@ -125,11 +110,16 @@ NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
 
 NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,
                                  const DeckOptions& options) {
-  SourceNetDeck deck = compile_source_net(source, net, options);
-  const sim::TransientOptions so = sim_options(options);
-  const sim::TransientResult res = sim::simulate(deck.netlist, so, deck.probes);
-  NetSimResult result = collect_source_result(deck, res, source);
-  result.solver = sim::selected_solver(deck.netlist, so);
+  const SourceNetDeck deck = compile_source_net(source, net, options);
+  const sim::TransientResult res =
+      sim::simulate(deck.netlist, sim_options(options), deck.probes);
+  NetSimResult result = collect_net_result(res, deck.out, deck.nodes, 0.0);
+  // For an ideal source the "input" and near end coincide; report the source
+  // 50 % crossing so sink delays have a reference.
+  const double v_final = source.final_value();
+  result.input_time_50 =
+      result.near_end.first_crossing(0.5 * v_final, v_final > 0.0)
+          .value_or(source.start_time());
   return result;
 }
 
@@ -178,16 +168,13 @@ CoupledSimResult simulate_coupled_group(const Technology& tech,
   for (std::size_t k = 0; k < group.size(); ++k) {
     add_net_probes(probes, outs[k], decks.nets[k]);
   }
-  const sim::TransientOptions so = sim_options(options);
-  const sim::TransientResult res = sim::simulate(nl, so, probes);
-  const sim::SolverKind solver = sim::selected_solver(nl, so);
+  const sim::TransientResult res = sim::simulate(nl, sim_options(options), probes);
 
   CoupledSimResult result;
   result.nets.reserve(group.size());
   for (std::size_t k = 0; k < group.size(); ++k) {
     result.nets.push_back(
         collect_net_result(res, outs[k], decks.nets[k], input_t50[k]));
-    result.nets.back().solver = solver;
   }
   return result;
 }

@@ -51,9 +51,9 @@ struct NetSimResult {
   std::vector<wave::Waveform> leaves;                        // depth-first leaf order
   std::vector<std::pair<std::string, wave::Waveform>> probes;  // named probes
   double input_time_50 = 0.0;  // 50 % crossing of the input stimulus
-  // The backend that factored this deck (sim::selected_solver over the
-  // compiled netlist — never `automatic`); reported up through
-  // core::ExperimentResult and api::Response.
+  // The backend that factored this deck (sim::TransientResult::solver —
+  // never `automatic`); reported up through core::ExperimentResult and
+  // api::Response.
   sim::SolverKind solver = sim::SolverKind::automatic;
 
   // Named-probe lookup; throws when the net declared no such probe.
@@ -81,11 +81,11 @@ NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,
                                  const DeckOptions& options);
 
 // ---- compiled source-net decks -------------------------------------------
-// Deck 3 split into compile / simulate / collect so the scenario-batching
-// engine can group compiled decks by topology and run them as one
-// shared-factorization block while reusing exactly the code path
-// simulate_source_net runs per slot (same netlist build order, same probe
-// list, same measurement extraction — the bitwise-parity prerequisite).
+// Deck 3 split into compile / simulate so the scenario-batching engine can
+// group compiled decks by topology and run them as one shared-factorization
+// block while reusing exactly the deck simulate_source_net runs per slot
+// (same netlist build order, same probe list — the bitwise-parity
+// prerequisite).
 
 struct SourceNetDeck {
   ckt::Netlist netlist;
@@ -102,13 +102,6 @@ sim::TransientOptions sim_options(const DeckOptions& options);
 // then the discretized net) without running it.
 SourceNetDeck compile_source_net(const wave::Pwl& source, const net::Net& net,
                                  const DeckOptions& options);
-
-// Extracts the NetSimResult (waveforms + the source's 50 % crossing) from a
-// finished simulation of a compiled deck.  Does not fill NetSimResult::solver
-// — the caller knows which backend actually ran.
-NetSimResult collect_source_result(const SourceNetDeck& deck,
-                                   const sim::TransientResult& res,
-                                   const wave::Pwl& source);
 
 // ---- coupled decks -------------------------------------------------------
 

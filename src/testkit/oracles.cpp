@@ -701,8 +701,8 @@ void check_batched_replay_equivalence(api::Engine& engine, std::uint64_t seed,
                                       sim::SolverKind solver) {
   Rng rng(seed);
   // A few equal-topology classes (members share net + driver, differ only in
-  // slew — one factorization group each) plus a singleton that must stay on
-  // the scalar path.  Both shapes must be invisible in the numbers.
+  // slew — one factorization group each) plus a singleton that runs as a
+  // one-lane block.  Both shapes must be invisible in the numbers.
   std::vector<api::Request> requests;
   const std::size_t classes = 2 + rng.uniform_index(2);
   for (std::size_t c = 0; c < classes; ++c) {

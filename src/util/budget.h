@@ -103,7 +103,7 @@ namespace iter_defaults {
 inline constexpr int brent = 200;        // util::SolveOptions::max_iter
 inline constexpr int fixed_point = 100;  // util::FixedPointOptions::max_iter
 inline constexpr int ceff = 60;          // core::CeffIterationOptions::max_iter
-inline constexpr int newton = 100;       // sim::TransientOptions::max_newton
+inline constexpr int newton = 100;       // sim/transient.cpp Newton loop
 }  // namespace iter_defaults
 
 // min(base, every positive cap); caps <= 0 mean "no cap".

@@ -651,9 +651,9 @@ TEST_F(EngineFixture, FarEndReplayProducesModelFar) {
   EXPECT_GT(r.model_far.delay, r.model_near.delay);
 }
 
-TEST_F(EngineFixture, BatchedReplayBitwiseMatchesPerSlot) {
-  // Five equal-topology slots (only the slew differs -> one factorization
-  // group) plus one on a different wire (its own group).
+// Five equal-topology slots (only the slew differs -> one factorization
+// group) plus one on a different wire (its own group).
+std::vector<Request> replay_grid() {
   std::vector<Request> requests;
   for (double slew : {40 * ps, 80 * ps, 120 * ps, 160 * ps, 200 * ps}) {
     requests.push_back(
@@ -662,14 +662,20 @@ TEST_F(EngineFixture, BatchedReplayBitwiseMatchesPerSlot) {
   Request other = replay_request("replay-other-net", 100 * ps);
   other.net = tech::line_net(*tech::find_paper_wire_case(3.0, 1.6), 20 * ff);
   requests.push_back(other);
+  return requests;
+}
 
-  BatchOptions batched = fast_options();
+// Batching on and off must both succeed on every slot and agree bit for bit.
+void expect_batched_matches_per_slot(Engine& engine,
+                                     const std::vector<Request>& requests,
+                                     const BatchOptions& options) {
+  BatchOptions batched = options;
   batched.batch_scenarios = true;
-  BatchOptions per_slot = fast_options();
+  BatchOptions per_slot = options;
   per_slot.batch_scenarios = false;
 
-  const std::vector<Outcome<Response>> a = engine_->run_batch(requests, batched);
-  const std::vector<Outcome<Response>> b = engine_->run_batch(requests, per_slot);
+  const std::vector<Outcome<Response>> a = engine.run_batch(requests, batched);
+  const std::vector<Outcome<Response>> b = engine.run_batch(requests, per_slot);
   ASSERT_EQ(requests.size(), a.size());
   ASSERT_EQ(requests.size(), b.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -688,6 +694,18 @@ TEST_F(EngineFixture, BatchedReplayBitwiseMatchesPerSlot) {
     EXPECT_EQ(rb.solver, ra.solver);
     expect_wave_bitwise(ra.model_far_wave, rb.model_far_wave);
   }
+}
+
+TEST_F(EngineFixture, BatchedReplayBitwiseMatchesPerSlot) {
+  expect_batched_matches_per_slot(*engine_, replay_grid(), fast_options());
+}
+
+TEST_F(EngineFixture, BatchedReplayUnderNaiveAssemblyMatchesPerSlot) {
+  // The block engine takes cached decks only; a naive-assembly replay must
+  // still succeed with batching on, with the numbers of the per-slot run.
+  BatchOptions naive = fast_options();
+  naive.deck.sim.assembly = sim::AssemblyMode::naive;
+  expect_batched_matches_per_slot(*engine_, replay_grid(), naive);
 }
 
 TEST_F(EngineFixture, BatchedReplayIsolatesBudgetedSlot) {

@@ -8,7 +8,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -212,7 +214,19 @@ TEST(ScenarioGrouping, MatrixShapingOptionsSplitGroups) {
   EXPECT_FALSE(sim::scenario_options_equal(opt, other_solver));
 }
 
-// ---- block engine vs scalar engine --------------------------------------
+// ---- block engine vs the naive scalar engine ----------------------------
+//
+// sim::simulate runs a cached linear deck as a one-lane block, so the
+// independent oracle for the block engine is the scalar engine's `naive`
+// assembly (rebuild + refactor every step, bitwise equal by contract).
+
+sim::TransientOptions naive_options(sim::TransientOptions opt, double t_stop,
+                                    util::ExecTracker* budget = nullptr) {
+  opt.assembly = sim::AssemblyMode::naive;
+  opt.t_stop = t_stop;
+  opt.budget = budget;
+  return opt;
+}
 
 void expect_bitwise(const wave::Waveform& a, const wave::Waveform& b,
                     const char* what) {
@@ -250,9 +264,9 @@ TEST_P(BlockVsScalar, LanesBitwiseMatchPerSlotRuns) {
 
   for (std::size_t k = 0; k < decks.size(); ++k) {
     ASSERT_TRUE(block[k].result.has_value()) << "lane " << k;
-    sim::TransientOptions scalar_opt = opt;
-    scalar_opt.t_stop = t_stops[k];
-    const sim::TransientResult ref = sim::simulate(decks[k], scalar_opt, probes);
+    const sim::TransientResult ref =
+        sim::simulate(decks[k], naive_options(opt, t_stops[k]), probes);
+    EXPECT_EQ(block[k].result->solver(), ref.solver());
     for (ckt::NodeId p : probes) {
       expect_bitwise(block[k].result->at(p), ref.at(p), "probe");
     }
@@ -321,8 +335,8 @@ TEST(BlockIsolation, PerLaneBudgetsChargeIndependently) {
   opt.dt = 1e-12;
 
   // Both lanes carry ample budgets; each must be charged its own lane's
-  // steps — exactly what the scalar engine charges that scenario — not the
-  // block's total.
+  // steps — exactly what the naive scalar engine charges that scenario —
+  // not the block's total.
   util::ExecBudget budget;
   budget.max_transient_steps = 250;
   util::ExecTracker ta(budget);
@@ -335,13 +349,104 @@ TEST(BlockIsolation, PerLaneBudgetsChargeIndependently) {
   ASSERT_TRUE(got[1].result.has_value());
 
   util::ExecTracker scalar_tracker(budget);
-  sim::TransientOptions scalar_opt = opt;
-  scalar_opt.t_stop = 200e-12;
-  scalar_opt.budget = &scalar_tracker;
-  (void)sim::simulate(decks[0], scalar_opt, probes);
+  (void)sim::simulate(decks[0], naive_options(opt, 200e-12, &scalar_tracker), probes);
   EXPECT_EQ(ta.steps_used(), scalar_tracker.steps_used());
   EXPECT_EQ(tb.steps_used(), scalar_tracker.steps_used());
 }
+
+// ---- sim::simulate on a linear deck (a one-lane block) --------------------
+
+std::string error_message(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const BudgetError& e) {
+    return e.what();
+  }
+  return "no BudgetError";
+}
+
+TEST(LinearSimulate, StepBudgetMatchesNaive) {
+  const std::size_t segments = 8;
+  const ckt::Netlist deck = make_line_deck(70e-12, segments);
+  const std::vector<ckt::NodeId> probes{far_node(segments)};
+  sim::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 150.5e-12;  // 151 steps, the last one shortened
+
+  // Ample budget: the caller's tracker is charged exactly the naive count.
+  util::ExecBudget ample;
+  ample.max_transient_steps = 1000;
+  util::ExecTracker cached_tracker(ample);
+  util::ExecTracker naive_tracker(ample);
+  sim::TransientOptions cached = opt;
+  cached.budget = &cached_tracker;
+  (void)sim::simulate(deck, cached, probes);
+  (void)sim::simulate(deck, naive_options(opt, opt.t_stop, &naive_tracker), probes);
+  EXPECT_EQ(cached_tracker.steps_used(), 151);
+  EXPECT_EQ(cached_tracker.steps_used(), naive_tracker.steps_used());
+
+  // Tight budget: the lane's failure is rethrown as the same BudgetError.
+  util::ExecBudget tight;
+  tight.max_transient_steps = 40;
+  util::ExecTracker cached_tight(tight);
+  util::ExecTracker naive_tight(tight);
+  cached.budget = &cached_tight;
+  const std::string got =
+      error_message([&] { (void)sim::simulate(deck, cached, probes); });
+  const std::string want = error_message([&] {
+    (void)sim::simulate(deck, naive_options(opt, opt.t_stop, &naive_tight), probes);
+  });
+  EXPECT_NE(got, "no BudgetError");
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(cached_tight.steps_used(), naive_tight.steps_used());
+}
+
+TEST(LinearSimulate, NonFiniteSolutionIsSingular) {
+  const std::size_t segments = 8;
+  const ckt::Netlist deck = make_line_deck(70e-12, segments);
+  const std::vector<ckt::NodeId> probes{far_node(segments)};
+  sim::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 100e-12;
+  opt.debug_cached_stamp_nan = true;
+  EXPECT_THROW((void)sim::simulate(deck, opt, probes), SingularMatrixError);
+  // A horizon ending on a shortened step takes the same guard.
+  opt.t_stop = 20.5e-12;
+  EXPECT_THROW((void)sim::simulate(deck, opt, probes), SingularMatrixError);
+}
+
+class LinearSimulatePartialStep : public ::testing::TestWithParam<sim::SolverKind> {};
+
+TEST_P(LinearSimulatePartialStep, MatchesNaiveBitwise) {
+  const std::size_t segments = 10;
+  const ckt::Netlist deck = make_line_deck(90e-12, segments);
+  const std::vector<ckt::NodeId> probes{1, far_node(segments)};
+  sim::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 230.37e-12;
+  opt.solver = GetParam();
+
+  const sim::TransientResult got = sim::simulate(deck, opt, probes);
+  const sim::TransientResult want =
+      sim::simulate(deck, naive_options(opt, opt.t_stop), probes);
+  EXPECT_EQ(got.solver(), GetParam());
+  EXPECT_EQ(got.solver(), want.solver());
+  for (ckt::NodeId p : probes) {
+    expect_bitwise(got.at(p), want.at(p), "probe");
+    // 230 full steps, then the shortened one landing on t_stop.
+    ASSERT_EQ(got.at(p).size(), 232u);
+    EXPECT_LT(got.at(p).time(230), opt.t_stop);
+    EXPECT_NEAR(got.at(p).time(231), opt.t_stop, 1e-24);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, LinearSimulatePartialStep,
+                         ::testing::Values(sim::SolverKind::banded,
+                                           sim::SolverKind::dense,
+                                           sim::SolverKind::sparse),
+                         [](const auto& info) {
+                           return std::string(sim::to_string(info.param));
+                         });
 
 TEST(BlockEngine, RejectsMixedTopologies) {
   ckt::Netlist a = make_line_deck(40e-12, 6);

@@ -101,7 +101,7 @@
 //                        slots are grouped, factored once, and advanced as
 //                        one blocked multi-RHS solve.  Waveforms are
 //                        bitwise-identical either way; off forces the
-//                        per-slot scalar path (debugging/perf comparison)
+//                        per-slot one-lane path (debugging/perf comparison)
 //     --lint-screen      normal run, but with the Engine admission screen
 //                        armed at warn severity and the deep passes enabled:
 //                        slots with warn-or-worse findings fail with error
