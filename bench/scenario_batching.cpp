@@ -13,6 +13,7 @@
 // Pinned to one worker for the same reason as engine_batch_nets_per_s: the
 // speedup is an algorithmic claim (shared factorization + blocked
 // substitution), not a core-count one.
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -68,20 +69,26 @@ std::vector<api::Request> fig7_replay_grid() {
   return requests;
 }
 
-double time_batch(api::Engine& engine, const std::vector<api::Request>& requests,
-                  const api::BatchOptions& opt,
-                  std::vector<api::Response>& out) {
-  using clock = std::chrono::steady_clock;
-  double best_s = 1e300;
-  (void)engine.run_batch(requests, opt);  // warm-up
-  for (int rep = 0; rep < 3; ++rep) {
+// One side of the comparison: its batch options and last answers.
+struct Side {
+  api::BatchOptions opt;
+  std::vector<api::Response> out;
+
+  // Times one run_batch pass [s], keeping its answers.
+  double run(api::Engine& engine, const std::vector<api::Request>& requests) {
+    using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
     auto results = engine.run_batch(requests, opt);
     const double s = std::chrono::duration<double>(clock::now() - t0).count();
     out = bench::unwrap(std::move(results));
-    best_s = std::min(best_s, s);
+    return s;
   }
-  return best_s;
+};
+
+// Median of an odd-sized sample.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 // Counts slots whose far-end answer differs in any bit between the two runs.
@@ -135,14 +142,28 @@ int main(int argc, char** argv) {
   api::BatchOptions opt = bench::sweep_fidelity();
   opt.n_threads = 1;
 
-  std::vector<api::Response> batched, per_slot;
-  opt.batch_scenarios = true;
-  const double batched_s = time_batch(engine, requests, opt, batched);
-  opt.batch_scenarios = false;
-  const double per_slot_s = time_batch(engine, requests, opt, per_slot);
+  // Five repetitions after one warm-up per side, the two sides alternating
+  // within each repetition.  The speedup is the median of the
+  // per-repetition ratios: machine-speed drift and load bursts land on both
+  // sides of a ratio alike, and the median drops the odd disturbed pair.
+  Side batched, per_slot;
+  batched.opt = opt;
+  batched.opt.batch_scenarios = true;
+  per_slot.opt = opt;
+  per_slot.opt.batch_scenarios = false;
+  (void)batched.run(engine, requests);
+  (void)per_slot.run(engine, requests);
+  std::vector<double> batched_times, per_slot_times, ratios;
+  for (int rep = 0; rep < 5; ++rep) {
+    batched_times.push_back(batched.run(engine, requests));
+    per_slot_times.push_back(per_slot.run(engine, requests));
+    ratios.push_back(per_slot_times.back() / batched_times.back());
+  }
+  const double batched_s = median(batched_times);
+  const double per_slot_s = median(per_slot_times);
 
-  const std::size_t mismatches = bitwise_mismatches(batched, per_slot);
-  const double speedup = per_slot_s / batched_s;
+  const std::size_t mismatches = bitwise_mismatches(batched.out, per_slot.out);
+  const double speedup = median(ratios);
 
   std::printf("== scenario batching (Fig-7 grid, %zu scenarios, 4 groups) ==\n",
               requests.size());

@@ -18,11 +18,39 @@
 
 namespace rlceff::api {
 
+// The solver controls every rung of one ladder pass runs with: the request's
+// model options and the batch's deck, with the pass's budget (nullable)
+// threaded into the Ceff fixed points and the transient loops, and the
+// request's solver backend pinned.
+struct RungOptions {
+  core::DriverModelOptions model;
+  tech::DeckOptions deck;
+};
+
+// The rung in progress on a slot's ladder: the tier it serves, the
+// escalations the cascade took to reach it, and whether it is the
+// moments-only floor (which reports Tier B).
+struct Rung {
+  tier::Tier tier = tier::Tier::ceff;
+  std::size_t escalations = 0;
+  bool floor = false;
+
+  Fidelity fidelity() const {
+    if (floor) return Fidelity::moments_only;
+    switch (tier) {
+      case tier::Tier::analytical: return Fidelity::analytical;
+      case tier::Tier::ceff: return Fidelity::ceff_model;
+      case tier::Tier::reference: return Fidelity::reference;
+    }
+    return Fidelity::ceff_model;
+  }
+};
+
 // One deferred far-end replay: everything needed to compile and run the
 // replay transient after its slot's model already answered.  The job owns a
-// copy of the net (the request span is the caller's; tiered inner requests
-// are stack temporaries) and shares ownership of the slot's ExecTracker so a
-// budget armed at slot start keeps charging the deferred work.
+// copy of the net (a coupled victim's flow net is a temporary) and shares
+// ownership of the slot's ExecTracker so a budget armed at slot start keeps
+// charging the deferred work.
 struct ReplayJob {
   std::size_t slot = 0;
   std::string label;
@@ -54,7 +82,16 @@ namespace {
 // characterization or the breakpoint solve.
 bool positive_finite(double x) { return std::isfinite(x) && x > 0.0; }
 
-void validate(const Request& r) {
+// The policy a request resolves to: the default policy is the legacy flag,
+// which pins Tier C (reference = true) or Tier B.
+tier::TierPolicy resolved_policy(const Request& r) {
+  if (r.tier != tier::TierPolicy::reference) return r.tier;
+  return r.reference ? tier::TierPolicy::force_reference : tier::TierPolicy::force_ceff;
+}
+
+// Checks the request against its resolved policy, so both spellings of a
+// pinned tier accept the same extras.
+void validate(const Request& r, tier::TierPolicy policy) {
   auto reject = [&](const std::string& why) {
     throw InvalidRequestError("api::Engine: request '" + r.label + "': " + why);
   };
@@ -87,19 +124,20 @@ void validate(const Request& r) {
     if (!r.aggressors.empty()) reject("aggressors without a coupled group");
     if (r.net.empty()) reject("net is empty");
   }
-  if (!r.reference && r.one_ramp_baseline) {
+  const bool reference = policy == tier::TierPolicy::force_reference;
+  if (!reference && r.one_ramp_baseline) {
     reject("one_ramp_baseline needs the reference simulation");
   }
-  if (!r.reference && !r.far_end_replay && r.keep_waveforms) {
+  if (!reference && !r.far_end_replay && r.keep_waveforms) {
     reject("keep_waveforms needs the reference simulation or far_end_replay");
   }
   if (r.far_end_replay) {
-    if (r.reference) {
+    if (reference) {
       reject("far_end_replay is redundant with the reference simulation "
              "(which already replays the far end)");
     }
-    if (r.tier != tier::TierPolicy::reference) {
-      reject("far_end_replay is incompatible with a tier policy");
+    if (policy != tier::TierPolicy::force_ceff) {
+      reject("far_end_replay is incompatible with a routing tier policy");
     }
   }
   if (r.coupled() && r.one_ramp_baseline) {
@@ -111,11 +149,19 @@ void validate(const Request& r) {
   }
 }
 
-// Runs the request's static-diagnostics pass (Request::lint).  The Eq 9
-// driver context defaults from the request itself: a static Thevenin Rs from
-// the cell size and the input slew standing in for the converged first-ramp
-// time.
-lint::Report run_lint(const Request& request, const tech::Technology& technology) {
+// Runs the request's static-diagnostics pass (Request::lint) and returns the
+// findings to report.  The Eq 9 driver context defaults from the request
+// itself: a static Thevenin Rs from the cell size and the input slew standing
+// in for the converged first-ramp time.  Lint sees the request's own policy,
+// not the resolved one, so a default request gets no tier advisory.
+//
+// Admission screen: statically-broken work is rejected here, before any
+// characterization lookup or solve.  lint_rejected is deliberately not a
+// degradable code: a screened-out request is wrong input, and retrying or
+// degrading it would just re-lint the same net.
+std::vector<lint::Diagnostic> run_lint(const Request& request,
+                                       const tech::Technology& technology) {
+  if (!request.lint.screen && !request.lint.report) return {};
   lint::Options checks = request.lint.checks;
   if (!(checks.driver_resistance > 0.0)) {
     checks.driver_resistance =
@@ -125,8 +171,33 @@ lint::Report run_lint(const Request& request, const tech::Technology& technology
   if (checks.tier_policy == tier::TierPolicy::reference) {
     checks.tier_policy = request.tier;
   }
-  return request.coupled() ? lint::lint_group(request.group, checks)
-                           : lint::lint_net(request.net, checks);
+  lint::Report report = request.coupled() ? lint::lint_group(request.group, checks)
+                                          : lint::lint_net(request.net, checks);
+  if (request.lint.screen && !report.diagnostics.empty() &&
+      report.worst() >= request.lint.fail_at) {
+    std::size_t gating = 0;
+    std::string first;
+    for (const lint::Diagnostic& d : report.diagnostics) {
+      if (d.severity < request.lint.fail_at) continue;
+      if (gating++ == 0) first = lint::format(d);
+    }
+    throw LintRejectedError(
+        "api::Engine: request '" + request.label + "': rejected by the lint "
+        "screen (" + std::to_string(gating) + " finding(s) at or above " +
+        lint::to_string(request.lint.fail_at) + "): " + first,
+        std::move(report.diagnostics));
+  }
+  if (!request.lint.report) return {};
+  return std::move(report.diagnostics);
+}
+
+RungOptions rung_options(const Request& r, const BatchOptions& options,
+                         util::ExecTracker* budget) {
+  RungOptions out{r.model, options.deck};
+  out.model.iteration.budget = budget;
+  out.deck.sim.budget = budget;
+  out.deck.sim.solver = r.solver;
+  return out;
 }
 
 // Maps a request onto the core experiment case: a single net becomes the
@@ -181,14 +252,6 @@ FlowNets flow_nets(const Request& r) {
   return nets;
 }
 
-// A response stamped with the request's identity.
-Response start_response(const Request& r) {
-  Response response;
-  response.label = r.label;
-  response.has_coupling = r.coupled();
-  return response;
-}
-
 // The Ceff iterations report non-convergence via their converged flags; the
 // service boundary promotes that to a failure so a silently-unconverged
 // model cannot masquerade as a timing number.
@@ -227,16 +290,15 @@ struct ReplayPlan {
 };
 
 ReplayPlan plan_far_end_replay(const Request& request, const net::Net& net,
-                               const BatchOptions& options,
+                               const tech::DeckOptions& deck,
                                const core::DriverOutputModel& model) {
   const net::NetMetrics metrics = net.metrics();
   ReplayPlan plan;
-  plan.input_time_50 = options.deck.t_start + 0.5 * request.input_slew;
-  plan.deck = options.deck;
-  plan.deck.t_stop = options.deck.t_start + request.input_slew +
+  plan.input_time_50 = deck.t_start + 0.5 * request.input_slew;
+  plan.deck = deck;
+  plan.deck.t_stop = deck.t_start + request.input_slew +
                      std::max(1e-9, core::settle_time(request.cell_size, metrics));
   plan.deck.sim.budget = nullptr;
-  plan.deck.sim.solver = request.solver;
   plan.dominant_leaf = metrics.dominant_leaf;
   std::vector<std::pair<double, double>> pts = model.waveform.points();
   for (auto& [t, v] : pts) t += plan.input_time_50;
@@ -276,114 +338,61 @@ void run_replay_inline(const tech::Technology& technology, const Request& reques
 
 Engine::Engine(tech::Technology technology) : technology_(technology) {}
 
-Response Engine::model_or_throw(const Request& request, const BatchOptions& options,
-                                util::ExecTracker* budget, std::size_t slot,
-                                bool run_hook, std::optional<ReplayJob>* deferred) {
-  validate(request);
+Response Engine::reference_rung(const Request& request, const BatchOptions& options,
+                                const RungOptions& rung) {
+  core::ExperimentOptions opt;
+  opt.deck = rung.deck;
+  opt.grid = options.grid;
+  opt.model = rung.model;
+  opt.include_far_end = request.far_end;
+  opt.include_one_ramp = request.one_ramp_baseline;
+  opt.include_noise = request.noise;
+  opt.keep_waveforms = request.keep_waveforms;
 
-  // Admission screen: reject statically-broken work before any
-  // characterization lookup or solve.  lint_rejected is deliberately not on
-  // the degradable-code list — a screened-out request is wrong input, and
-  // retrying or degrading it would just re-lint the same net.
-  std::vector<lint::Diagnostic> diagnostics;
-  if (request.lint.screen || request.lint.report) {
-    lint::Report report = run_lint(request, technology_);
-    if (request.lint.screen && !report.diagnostics.empty() &&
-        report.worst() >= request.lint.fail_at) {
-      std::size_t gating = 0;
-      std::string first;
-      for (const lint::Diagnostic& d : report.diagnostics) {
-        if (d.severity < request.lint.fail_at) continue;
-        if (gating++ == 0) first = lint::format(d);
-      }
-      throw LintRejectedError(
-          "api::Engine: request '" + request.label + "': rejected by the lint "
-          "screen (" + std::to_string(gating) + " finding(s) at or above " +
-          lint::to_string(request.lint.fail_at) + "): " + first,
-          std::move(report.diagnostics));
-    }
-    if (request.lint.report) diagnostics = std::move(report.diagnostics);
-  }
+  core::ExperimentResult r =
+      core::run_experiment(technology_, library_, experiment_case(request), opt);
+  // The pushout estimate leans on the quiet-baseline model too; a
+  // non-converged baseline must fail the slot like the primary model.
+  check_convergence(request, r.model_base);
+  Response response;
+  response.model = std::move(r.model);
+  response.model_near = r.model_near;
+  response.has_reference = true;
+  response.ref_near = r.ref_near;
+  response.ref_far = r.ref_far;
+  response.model_far = r.model_far;
+  response.has_model_far = request.far_end;
+  response.one_near = r.one_near;
+  response.one_ramp = std::move(r.one_ramp);
+  response.base_near = r.base_near;
+  response.base_far = r.base_far;
+  response.delay_pushout = r.delay_pushout;
+  response.delay_pushout_model = r.delay_pushout_model;
+  response.peak_noise = r.peak_noise;
+  response.ref_near_wave = std::move(r.ref_near_wave);
+  response.ref_far_wave = std::move(r.ref_far_wave);
+  response.model_far_wave = std::move(r.model_far_wave);
+  response.input_time_50 = r.input_time_50;
+  response.has_solver = true;
+  response.solver = r.solver;
+  check_convergence(request, response.model);
+  return response;
+}
 
-  if (budget) budget->check("api::Engine slot");
-  if (run_hook && options.debug_slot_fault) {
-    util::ExecTracker unbudgeted;
-    options.debug_slot_fault(slot, budget ? *budget : unbudgeted);
-  }
-
-  // Multi-fidelity cascade: a non-default tier policy routes the slot from
-  // here, after the preamble (validation, lint screen, budget check, fault
-  // hook) every tier shares.  The inner attempts recurse into this function
-  // with the policy cleared.  (No elapsed stamp here: run_slot times the
-  // whole attempt ladder and overwrites elapsed_s on every path.)
-  if (request.tier != tier::TierPolicy::reference) {
-    Response response = tiered_response(request, options, budget, slot);
-    response.diagnostics = std::move(diagnostics);
-    return response;
-  }
-
-  // Thread the armed budget into every layer this slot touches: the Ceff
-  // fixed points (via the model options) and the transient step/Newton loops
-  // (via the deck's TransientOptions).
-  core::DriverModelOptions model_opt = request.model;
-  model_opt.iteration.budget = budget;
-  tech::DeckOptions deck = options.deck;
-  deck.sim.budget = budget;
-  deck.sim.solver = request.solver;
-
-  Response response = start_response(request);
-  response.diagnostics = std::move(diagnostics);
-
-  if (request.reference) {
-    core::ExperimentOptions opt;
-    opt.deck = deck;
-    opt.grid = options.grid;
-    opt.model = model_opt;
-    opt.include_far_end = request.far_end;
-    opt.include_one_ramp = request.one_ramp_baseline;
-    opt.include_noise = request.noise;
-    opt.keep_waveforms = request.keep_waveforms;
-
-    core::ExperimentResult r =
-        core::run_experiment(technology_, library_, experiment_case(request), opt);
-    // The pushout estimate leans on the quiet-baseline model too; a
-    // non-converged baseline must fail the slot like the primary model.
-    check_convergence(request, r.model_base);
-    response.model = std::move(r.model);
-    response.model_near = r.model_near;
-    response.has_reference = true;
-    response.ref_near = r.ref_near;
-    response.ref_far = r.ref_far;
-    response.model_far = r.model_far;
-    response.has_model_far = request.far_end;
-    response.one_near = r.one_near;
-    response.one_ramp = std::move(r.one_ramp);
-    response.base_near = r.base_near;
-    response.base_far = r.base_far;
-    response.delay_pushout = r.delay_pushout;
-    response.delay_pushout_model = r.delay_pushout_model;
-    response.peak_noise = r.peak_noise;
-    response.ref_near_wave = std::move(r.ref_near_wave);
-    response.ref_far_wave = std::move(r.ref_far_wave);
-    response.model_far_wave = std::move(r.model_far_wave);
-    response.input_time_50 = r.input_time_50;
-    response.has_solver = true;
-    response.solver = r.solver;
-    check_convergence(request, response.model);
-    return response;
-  }
-
-  // Model-only: the paper's flow on the flow net, plus the quiet-environment
-  // model for a coupled victim's pushout estimate.
+Response Engine::ceff_rung(const Request& request, const BatchOptions& options,
+                           const RungOptions& rung, std::optional<ReplayJob>* deferred) {
+  // The paper's flow on the flow net, plus the quiet-environment model for a
+  // coupled victim's pushout estimate.
   const FlowNets nets = flow_nets(request);
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
+  Response response;
   response.model =
-      core::model_driver_output(driver, request.input_slew, nets.net(), model_opt);
+      core::model_driver_output(driver, request.input_slew, nets.net(), rung.model);
   response.model_near = measure_model(response.model, technology_.vdd);
   if (nets.quiet) {
     const core::DriverOutputModel base =
-        core::model_driver_output(driver, request.input_slew, *nets.quiet, model_opt);
+        core::model_driver_output(driver, request.input_slew, *nets.quiet, rung.model);
     check_convergence(request, base);
     response.delay_pushout_model =
         response.model_near.delay - measure_model(base, technology_.vdd).delay;
@@ -392,16 +401,9 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
     // Fail a non-converged model *before* planning or enqueueing its
     // replay, so a slot that fails here leaves nothing behind to patch.
     check_convergence(request, response.model);
-    ReplayPlan plan = plan_far_end_replay(request, nets.net(), options, response.model);
-    // Slots with a wall-clock limit or an enabled degrade policy never
-    // defer: the deadline/ladder semantics are tied to the slot's own
-    // attempt sequence, and deferral would move work past both.
-    const bool defer = deferred != nullptr && !request.degrade.enabled &&
-                       request.budget.wall_limit_s <= 0.0;
-    if (defer) {
+    ReplayPlan plan = plan_far_end_replay(request, nets.net(), rung.deck, response.model);
+    if (deferred != nullptr) {
       ReplayJob& job = deferred->emplace();
-      job.slot = slot;
-      job.label = request.label;
       job.net = nets.net();
       job.source = std::move(plan.source);
       job.deck = plan.deck;
@@ -410,20 +412,19 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
       job.keep_waveforms = request.keep_waveforms;
       response.input_time_50 = plan.input_time_50;
     } else {
-      run_replay_inline(technology_, request, nets.net(), plan, budget, response);
+      run_replay_inline(technology_, request, nets.net(), plan, rung.deck.sim.budget,
+                        response);
     }
   }
-
   check_convergence(request, response.model);
   return response;
 }
 
-Response Engine::moments_only_response(const Request& request,
-                                       const BatchOptions& options) {
+Response Engine::moments_floor(const Request& request, const BatchOptions& options) {
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
   const FlowNets nets = flow_nets(request);
-  Response response = start_response(request);
+  Response response;
   response.model =
       core::estimate_driver_output_moments_only(driver, request.input_slew, nets.net());
   response.model_near = measure_model(response.model, technology_.vdd);
@@ -436,15 +437,12 @@ Response Engine::moments_only_response(const Request& request,
   return response;
 }
 
-Response Engine::analytical_response(const Request& request,
-                                     const BatchOptions& options,
-                                     tier::AnalyticalEstimate* estimate_out) {
+Response Engine::analytical_rung(const Request& request, const BatchOptions& options,
+                                 tier::AnalyticalEstimate* estimate_out) {
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
   const FlowNets nets = flow_nets(request);
-  Response response = start_response(request);
-  response.fidelity = Fidelity::analytical;
-  response.tier = tier::Tier::analytical;
+  Response response;
   tier::AnalyticalEstimate estimate =
       tier::analytical_estimate(driver, request.input_slew, nets.net());
   response.model_near = {estimate.delay, estimate.slew_10_90};
@@ -465,60 +463,32 @@ Response Engine::analytical_response(const Request& request,
   return response;
 }
 
-Response Engine::tiered_response(const Request& request, const BatchOptions& options,
-                                 util::ExecTracker* budget, std::size_t slot) {
+Response Engine::cascade(const Request& request, tier::TierPolicy policy,
+                         const BatchOptions& options, const RungOptions& opt,
+                         Rung& rung, std::optional<ReplayJob>* deferred) {
   using tier::Tier;
   using tier::TierPolicy;
-  const TierPolicy policy = request.tier;
-  std::size_t escalations = 0;
 
-  // One tier of the legacy ladder, served by recursing into model_or_throw
-  // with the policy cleared (the preamble — validation, lint, budget check,
-  // fault hook — already ran on the outer request).
-  auto serve = [&](bool reference_flag, Tier t, Fidelity f) {
-    Request inner = request;
-    inner.tier = TierPolicy::reference;
-    inner.reference = reference_flag;
-    inner.lint = LintOptions{};
-    Response r = model_or_throw(inner, options, budget, slot, false);
-    r.fidelity = f;
-    r.tier = t;
-    r.tier_escalations = escalations;
-    return r;
-  };
-
-  if (policy == TierPolicy::force_ceff) {
-    return serve(false, Tier::ceff, Fidelity::ceff_model);
-  }
-  if (policy == TierPolicy::force_reference) {
-    return serve(true, Tier::reference, Fidelity::reference);
-  }
-
-  // Tier A candidacy: the cheap topology screen first (coupled groups), the
-  // estimate-based screen once the estimate exists.  Forced Tier A skips
-  // admission entirely — that is what calibration wants.
+  // Tier A candidacy under the routing policies: the cheap topology screen
+  // first (coupled groups), the estimate-based screen once the estimate
+  // exists.  Forced Tier A skips admission entirely — that is what
+  // calibration wants.
+  const bool screened = policy == TierPolicy::balanced || policy == TierPolicy::fastest;
   tier::Admission admission;
-  if (request.coupled()) {
+  if (screened && request.coupled()) {
     admission = tier::admit_group_analytical(request.group, request.victim);
   }
-  if (policy == TierPolicy::force_analytical) {
-    tier::AnalyticalEstimate estimate;
-    Response a = analytical_response(request, options, &estimate);
-    a.tier_escalations = escalations;
-    return a;
-  }
-  if (admission.ok) {
+  rung = {tier::route(policy, admission)};
+  if (rung.tier == Tier::analytical) {
+    if (!screened) return analytical_rung(request, options, nullptr);
     // A closed form that throws (degenerate fit, stalled table fixed point)
     // is just another refusal: the denser tiers own that net.  Budget and
     // cancellation faults are not — they abort the slot like anywhere else.
     try {
       tier::AnalyticalEstimate estimate;
-      Response a = analytical_response(request, options, &estimate);
+      Response a = analytical_rung(request, options, &estimate);
       admission = tier::admit_analytical(estimate);
-      if (admission.ok) {
-        a.tier_escalations = escalations;
-        return a;
-      }
+      if (admission.ok) return a;
     } catch (const DeadlineError&) {
       throw;
     } catch (const BudgetError&) {
@@ -526,20 +496,22 @@ Response Engine::tiered_response(const Request& request, const BatchOptions& opt
     } catch (const Error&) {
       admission = {false, "estimate_failed"};
     }
+    rung.tier = tier::route(policy, admission);
   }
+  // A routing policy that got here escalated past a refused Tier A.
+  if (screened) rung.escalations = 1;
 
-  // Escalation A -> B; under balanced, a Tier B fixed point that cannot
-  // agree with itself escalates once more to the transient reference.
-  ++escalations;
-  if (policy == TierPolicy::fastest) {
-    return serve(false, Tier::ceff, Fidelity::ceff_model);
+  if (rung.tier == Tier::ceff) {
+    if (policy != TierPolicy::balanced) return ceff_rung(request, options, opt, deferred);
+    try {
+      return ceff_rung(request, options, opt, deferred);
+    } catch (const ConvergenceError&) {
+      // Balanced: a Tier B fixed point that cannot agree with itself
+      // escalates once more, to the transient reference.
+    }
+    rung = {Tier::reference, rung.escalations + 1};
   }
-  try {
-    return serve(false, Tier::ceff, Fidelity::ceff_model);
-  } catch (const ConvergenceError&) {
-    ++escalations;
-    return serve(true, Tier::reference, Fidelity::reference);
-  }
+  return reference_rung(request, options, opt);
 }
 
 Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& options,
@@ -550,22 +522,32 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
         .count();
   };
 
+  const tier::TierPolicy policy = resolved_policy(request);
+  // Heap-owned tracker: a deferred replay charges this slot's budget after
+  // run_slot returns, so the collector shares ownership with the job.
+  const auto owned_tracker = std::make_shared<util::ExecTracker>(request.budget);
+  util::ExecTracker& tracker = *owned_tracker;
+  // The rung in progress: failures are recorded against it, and the rung that
+  // answers stamps the Response's provenance.
+  Rung rung{tier::route(policy, {})};
   std::vector<Attempt> attempts;
-  const Fidelity primary =
-      request.reference ? Fidelity::reference : Fidelity::ceff_model;
+  std::vector<lint::Diagnostic> diagnostics;
 
-  auto finish = [&](Response r, Fidelity fidelity, bool degraded) {
-    // Tiered slots stamp fidelity + tier inside tiered_response; the policy
-    // only overrides them when a degraded fallback actually answered.
-    if (request.tier == tier::TierPolicy::reference || degraded) {
-      r.fidelity = fidelity;
-      r.tier = fidelity == Fidelity::reference ? tier::Tier::reference
-                                               : tier::Tier::ceff;
-    }
+  auto finish = [&](Response r, bool degraded) {
+    r.label = request.label;
+    r.has_coupling = request.coupled();
+    r.fidelity = rung.fidelity();
+    r.tier = rung.tier;
+    r.tier_escalations = rung.escalations;
     r.degraded = degraded;
     r.attempts = std::move(attempts);
+    r.diagnostics = std::move(diagnostics);
     r.elapsed_s = elapsed();
     return Outcome<Response>(std::move(r));
+  };
+  auto abandon = [&](const std::string& prefix) {
+    const ErrorInfo info = describe_failure(std::current_exception(), request.label);
+    attempts.push_back({rung.fidelity(), info.code, prefix + info.message});
   };
   auto fail = [&](std::exception_ptr e) {
     ErrorInfo info = describe_failure(std::move(e), request.label);
@@ -573,44 +555,51 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
     return Outcome<Response>(std::move(info));
   };
 
-  // Heap-owned tracker: a deferred replay charges this slot's budget after
-  // run_slot returns, so the collector shares ownership with the job.
-  const auto owned_tracker = std::make_shared<util::ExecTracker>(request.budget);
-  util::ExecTracker& tracker = *owned_tracker;
+  // The preamble (validation, lint, budget checkpoint, fault hook) runs once,
+  // as part of the primary attempt; the ladder's later rungs skip it.
   std::exception_ptr first_error;
   try {
+    validate(request, policy);
+    diagnostics = run_lint(request, technology_);
+    tracker.check("api::Engine slot");
+    if (options.debug_slot_fault) options.debug_slot_fault(slot, tracker);
+    // Slots with a wall-clock limit or an enabled degrade policy never
+    // defer: the deadline/ladder semantics are tied to the slot's own
+    // attempt sequence, and deferral would move work past both.
     std::optional<ReplayJob> job;
-    Response r = model_or_throw(request, options, &tracker, slot, true,
-                                collector ? &job : nullptr);
+    const bool defer = collector != nullptr && !request.degrade.enabled &&
+                       request.budget.wall_limit_s <= 0.0;
+    Response r = cascade(request, policy, options, rung_options(request, options, &tracker),
+                         rung, defer ? &job : nullptr);
     if (job) {
+      job->slot = slot;
+      job->label = request.label;
       job->tracker = owned_tracker;
       collector->add(std::move(*job));
     }
-    return finish(std::move(r), primary, false);
+    return finish(std::move(r), false);
   } catch (...) {
     first_error = std::current_exception();
+    abandon("");
   }
-  const ErrorInfo first = describe_failure(first_error, request.label);
 
   // Cancellation aborts outright — degrading a cancelled slot spends more
   // work on an answer nobody is waiting for.
   if (!request.degrade.enabled || request.budget.cancel.cancel_requested()) {
     return fail(first_error);
   }
-  attempts.push_back({primary, first.code, first.message});
 
-  // Damped retry, same fidelity: a converged retry is an exact answer.
-  if (first.code == ErrorCode::convergence_failure &&
+  // Damped retry of the whole cascade: a converged retry is an exact answer.
+  if (attempts.back().code == ErrorCode::convergence_failure &&
       request.degrade.retry_damping > 0.0) {
-    Request damped = request;
+    RungOptions damped = rung_options(request, options, &tracker);
     damped.model.iteration.damping = request.degrade.retry_damping;
+    rung = {tier::route(policy, {})};
     try {
-      return finish(model_or_throw(damped, options, &tracker, slot, false),
-                    primary, false);
+      tracker.check("api::Engine slot");
+      return finish(cascade(request, policy, options, damped, rung, nullptr), false);
     } catch (...) {
-      const ErrorInfo info = describe_failure(std::current_exception(), request.label);
-      attempts.push_back(
-          {primary, info.code, std::string("damped retry: ") + info.message});
+      abandon("damped retry: ");
     }
   }
 
@@ -620,30 +609,27 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
                           last == ErrorCode::convergence_failure;
   if (!degradable) return fail(first_error);
 
-  // Ladder tier 2: a reference request falls back to the table-driven Ceff
-  // model.  The exhausted wall budget is deliberately not re-armed: the
-  // fallback is iteration-capped table math with bounded cost, and raising
-  // the same DeadlineError again would make degradation unreachable.
-  if (request.reference) {
-    Request ceff_only = request;
-    ceff_only.reference = false;
-    ceff_only.one_ramp_baseline = false;
-    ceff_only.keep_waveforms = false;
+  // Tier-B fallback, only when the policy pinned Tier C (balanced reaches C
+  // only after B failed).  The exhausted budget is deliberately not re-armed:
+  // the fallback is iteration-capped table math with bounded cost, and
+  // raising the same DeadlineError again would make degradation unreachable.
+  if (policy == tier::TierPolicy::force_reference) {
+    rung = {tier::Tier::ceff};
     try {
-      return finish(model_or_throw(ceff_only, options, nullptr, slot, false),
-                    Fidelity::ceff_model, true);
+      return finish(ceff_rung(request, options, rung_options(request, options, nullptr),
+                              nullptr),
+                    true);
     } catch (...) {
-      const ErrorInfo info = describe_failure(std::current_exception(), request.label);
-      attempts.push_back({Fidelity::ceff_model, info.code, info.message});
+      abandon("");
     }
   }
 
-  // Ladder floor: the moments-only estimate (cell table at Ctotal) — no
+  // The floor: the moments-only estimate (cell table at Ctotal) — no
   // iteration, cannot fail to converge.
   if (request.degrade.moments_floor) {
+    rung = {tier::Tier::ceff, 0, true};
     try {
-      return finish(moments_only_response(request, options), Fidelity::moments_only,
-                    true);
+      return finish(moments_floor(request, options), true);
     } catch (...) {
       // Fall through to report the original failure; the floor itself only
       // throws for requests broken enough that degradation is meaningless.

@@ -40,6 +40,10 @@ namespace rlceff::api {
 // (sim/scenario_block.h).
 struct ReplayCollector;
 struct ReplayJob;
+// The solver controls of one ladder pass, and the rung in progress (defined
+// in engine.cpp).
+struct RungOptions;
+struct Rung;
 
 class Engine {
 public:
@@ -81,20 +85,33 @@ public:
   void save_library(const std::string& path) const;
 
 private:
-  // One attempt at the request as written.  `budget` (nullable) is threaded
-  // into every solver loop; `run_hook` gates the test-only fault hook so
-  // retry/fallback attempts skip it.  `deferred` (nullable) lets a
-  // far_end_replay slot hand back its replay job for group batching instead
-  // of running it; without it the replay runs inline (same results,
-  // bitwise).
-  Response model_or_throw(const Request& request, const BatchOptions& options,
-                          util::ExecTracker* budget, std::size_t slot,
-                          bool run_hook, std::optional<ReplayJob>* deferred = nullptr);
-  // The full per-slot policy: arm the budget, attempt, then retry-and-
-  // degrade per Request::degrade.  Never throws for per-scenario failures.
+  // The only per-slot driver.  Resolves the request's policy (the default
+  // policy is the reference flag: force_reference or force_ceff), runs the
+  // preamble once (validation, lint, budget checkpoint, test-only fault
+  // hook), then walks one rung sequence until a rung answers:
+  //   1. the policy's cascade (see cascade below) under the slot's budget;
+  //   2. with Request::degrade, on a convergence failure: the same cascade
+  //      with the damped fixed point, opening with a budget checkpoint;
+  //   3. on a degradable failure, only when the policy pinned Tier C: the
+  //      Tier-B Ceff rung, unbudgeted;
+  //   4. the moments-only floor (DegradePolicy::moments_floor).
+  // Response::fidelity, tier and tier_escalations are stamped from the rung
+  // that answered, and each abandoned rung leaves an Attempt naming it.
+  // `collector` (nullable) lets a far_end_replay slot hand its replay job
+  // over for group batching instead of running it; without it the replay
+  // runs inline (same results, bitwise).  Never throws for per-scenario
+  // failures.
   Outcome<Response> run_slot(const Request& request, const BatchOptions& options,
                              std::size_t slot,
                              ReplayCollector* collector = nullptr);
+  // One pass of the policy's cascade with one set of rung controls: a
+  // routing policy tries Tier A when tier/router.h admits it, escalating to
+  // Tier B on refusal, and under balanced to Tier C when the Tier B fixed
+  // point fails to converge; a forced policy runs its one tier.  `rung`
+  // tracks the rung in progress, so a failure names the rung that failed.
+  Response cascade(const Request& request, tier::TierPolicy policy,
+                   const BatchOptions& options, const RungOptions& opt, Rung& rung,
+                   std::optional<ReplayJob>* deferred);
   // Runs the collector's deferred replays as shared-factorization blocks
   // (one factor per equal-topology group and step size) and patches the
   // affected slots of `results` — model_far and friends on success, a failed
@@ -103,24 +120,28 @@ private:
   // replay's call) before anything is failed.
   void finalize_deferred(ReplayCollector& collector, const BatchOptions& options,
                          std::vector<Outcome<Response>>& results);
-  // The moments_only floor tier (core::estimate_driver_output_moments_only
-  // on the request's — possibly Miller-decoupled — net).
-  Response moments_only_response(const Request& request, const BatchOptions& options);
-  // The multi-fidelity cascade (Request::tier != TierPolicy::reference):
-  // routes the slot to Tier A/B/C per tier/router.h, escalating on admission
-  // failure (and, under balanced, on a Tier B convergence failure).  Called
-  // from model_or_throw after validation/lint/budget arming so every tier
-  // shares the same preamble.
-  Response tiered_response(const Request& request, const BatchOptions& options,
-                           util::ExecTracker* budget, std::size_t slot);
-  // Tier A: the closed-form analytical screen (tier/analytical.h) —
-  // table lookups only, no fixed point, no transient.  `estimate_out`
-  // (nullable) receives the raw estimate so the router can score admission
-  // without recomputing it.  Its model.waveform is moved into the returned
-  // Response (left empty in the estimate); every scalar admission input
-  // (criteria, ceff1/ceff2, kind, shielding) stays valid.
-  Response analytical_response(const Request& request, const BatchOptions& options,
-                               tier::AnalyticalEstimate* estimate_out = nullptr);
+  // The rungs.  Each computes the numbers of one estimator from the request
+  // and the rung controls; provenance is stamped by run_slot.
+  //
+  // Tier A: the closed-form analytical screen (tier/analytical.h) — table
+  // lookups only, no fixed point, no transient.  `estimate_out` (nullable)
+  // receives the raw estimate so the router can score admission without
+  // recomputing it.  Its model.waveform is moved into the returned Response
+  // (left empty in the estimate); every scalar admission input (criteria,
+  // ceff1/ceff2, kind, shielding) stays valid.
+  Response analytical_rung(const Request& request, const BatchOptions& options,
+                           tier::AnalyticalEstimate* estimate_out);
+  // Tier B: the paper's Ceff flow on the request's (possibly
+  // Miller-decoupled) net, plus the model-only far-end replay when asked;
+  // `deferred` (nullable) receives the replay job instead of running it.
+  Response ceff_rung(const Request& request, const BatchOptions& options,
+                     const RungOptions& opt, std::optional<ReplayJob>* deferred);
+  // Tier C: the transient reference experiment (core::run_experiment).
+  Response reference_rung(const Request& request, const BatchOptions& options,
+                          const RungOptions& opt);
+  // The floor: core::estimate_driver_output_moments_only on the request's
+  // (possibly Miller-decoupled) net.
+  Response moments_floor(const Request& request, const BatchOptions& options);
   // Distinct cell sizes from `sizes` not yet in the library.
   std::vector<double> collect_missing(std::span<const double> sizes) const;
 

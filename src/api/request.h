@@ -27,17 +27,17 @@
 
 namespace rlceff::api {
 
-// How the numbers in a Response were produced — the engine's fidelity
-// ladder, highest first.  On deadline/budget exhaustion (with
-// DegradePolicy::enabled) a slot falls down this ladder and the Response is
-// stamped with the tier that actually answered.
+// How the numbers in a Response were produced: one value per rung of the
+// engine's slot ladder.  The three tier rungs map one-to-one onto tier::Tier;
+// the floor reports Tier B (Response::tier keeps three values).
 enum class Fidelity {
-  reference,     // full transient reference simulation + paper-flow model
-  ceff_model,    // the paper's Ceff one/two-ramp model (table-driven)
+  reference,     // Tier C: full transient reference simulation + paper-flow model
+  ceff_model,    // Tier B: the paper's Ceff one/two-ramp model (table-driven)
   moments_only,  // degraded floor: cell table at Ctotal (first moment m1);
                  // see core::estimate_driver_output_moments_only's envelope
   analytical,    // Tier A: closed-form shielded-Ceff table estimate
-                 // (tier/analytical.h); only produced by tiered requests
+                 // (tier/analytical.h); only produced by routing or
+                 // force_analytical requests
 };
 
 inline const char* to_string(Fidelity f) {
@@ -50,8 +50,8 @@ inline const char* to_string(Fidelity f) {
   return "ceff_model";
 }
 
-// One abandoned attempt in a slot's trail: which ladder tier was tried and
-// why it was given up.
+// One abandoned attempt in a slot's trail: the rung that failed and why it
+// was given up.
 struct Attempt {
   Fidelity fidelity = Fidelity::ceff_model;
   ErrorCode code = ErrorCode::internal_error;
@@ -60,16 +60,22 @@ struct Attempt {
 
 // What the Engine may do when a slot fails, instead of surfacing the error.
 // Default-off: failures stay failed Outcomes (bitwise-identical behavior to
-// a policy-free engine).  With `enabled`:
-//   1. a convergence_failure is retried once with the damped fixed point
-//      (damping = retry_damping); a converged retry is a full-fidelity,
-//      non-degraded answer (the attempt trail records the first try);
-//   2. deadline/budget exhaustion — or a retry that still fails — walks the
-//      fidelity ladder (reference -> ceff_model -> moments_only), returning
-//      the first tier that completes, flagged Response::degraded.  The
-//      fallback tiers are iteration-capped table math (no transient), so
-//      they add bounded work after an expired deadline.
-// Cancelled slots never retry or degrade: nobody is waiting for the answer.
+// a policy-free engine).  With `enabled`, the slot walks on down its one
+// rung ladder after the policy's cascade failed:
+//   1. a convergence_failure reruns the whole cascade once with the damped
+//      fixed point (damping = retry_damping); a converged retry is a
+//      full-fidelity, non-degraded answer (the attempt trail records the
+//      first try);
+//   2. deadline/budget exhaustion — or a retry that still fails — falls back
+//      to the Tier-B Ceff model, only when the policy pinned Tier C
+//      (force_reference, or the reference flag that resolves to it), and
+//      then to the moments_only floor; the first rung that completes
+//      answers, flagged Response::degraded.  Balanced reaches Tier C only
+//      after Tier B failed, so it goes straight to the floor.  The fallback
+//      rungs are iteration-capped table math (no transient), so they add
+//      bounded work after an expired deadline.
+// Each abandoned rung leaves an Attempt naming it.  Cancelled slots never
+// retry or degrade: nobody is waiting for the answer.
 struct DegradePolicy {
   bool enabled = false;
   double retry_damping = 0.5;  // convergence retry damping; <= 0 skips retry
@@ -152,9 +158,9 @@ struct Request {
   // the reference driver simulation.  This is the scenario-batching target:
   // in run_batch (BatchOptions::batch_scenarios) equal-topology replays are
   // grouped and advanced as one shared-factorization block, with waveforms
-  // bitwise-identical to the per-slot path.  Incompatible with `reference`
-  // (which already replays the far end) and non-default tier policies.
-  // keep_waveforms is honored (model_far_wave).
+  // bitwise-identical to the per-slot path.  Needs Tier B: the default
+  // policy without `reference` (which already replays the far end), or
+  // TierPolicy::force_ceff.  keep_waveforms is honored (model_far_wave).
   bool far_end_replay = false;
 
   // Treat a non-converged Ceff fixed point in the primary model as a
@@ -184,12 +190,11 @@ struct Request {
   LintOptions lint;
 
   // Multi-fidelity cascade policy (src/tier/).  The default,
-  // TierPolicy::reference, bypasses the cascade: the request behaves exactly
-  // as it did before tiering existed (the `reference` flag decides between
-  // the transient harness and the model-only Ceff flow, bitwise-identical —
-  // enforced by the TierIdentity property family).  `balanced` and `fastest`
-  // route to the cheapest admissible tier (tier/router.h) and ignore the
-  // `reference` flag; the forced policies pin one tier for testing and
+  // TierPolicy::reference, resolves to force_ceff, or to force_reference
+  // when the `reference` flag is set: the two spellings of a pinned tier are
+  // one slot, bit for bit (enforced by the TierIdentity property family).
+  // `balanced` and `fastest` route to the cheapest admissible tier
+  // (tier/router.h); the forced policies pin one tier for testing and
   // calibration.  A non-default policy is incompatible with reference=true
   // (use force_reference to ask for Tier C explicitly).
   tier::TierPolicy tier = tier::TierPolicy::reference;
@@ -240,18 +245,19 @@ struct Response {
 
   double elapsed_s = 0.0;  // wall time spent on this slot
 
-  // Provenance: which ladder tier produced the numbers, whether that is a
-  // degraded (lower-fidelity) answer, and the abandoned attempts (in order)
-  // that forced it there.  Exact answers have degraded == false and an
-  // attempt trail only when a damped retry rescued a convergence failure.
+  // Provenance, stamped from the rung that answered: which rung produced the
+  // numbers, whether that is a degraded (lower-fidelity) answer, and the
+  // abandoned attempts (in order) that forced it there.  Exact answers have
+  // degraded == false and an attempt trail only when a damped retry rescued
+  // a convergence failure.
   Fidelity fidelity = Fidelity::ceff_model;
   bool degraded = false;
   std::vector<Attempt> attempts;
 
-  // Cascade provenance (Request::tier != TierPolicy::reference): the tier
-  // that served the slot and how many escalations the router took to get
-  // there (0 = first choice held).  Non-tiered requests report the legacy
-  // mapping (reference flag ? Tier::reference : Tier::ceff, 0 escalations).
+  // The tier that served the slot and how many escalations the cascade took
+  // to get there (0 = first choice held).  Pinned policies, the default
+  // included, report their tier with 0 escalations; degraded answers report
+  // Tier B with 0 escalations.
   tier::Tier tier = tier::Tier::ceff;
   std::size_t tier_escalations = 0;
 
@@ -282,8 +288,9 @@ struct BatchOptions {
   // at the start of every slot's *primary* attempt — after validation,
   // inside the armed budget — with the slot's batch index and its
   // ExecTracker.  May throw library errors or sleep in chunks (checkpointing
-  // the tracker) to emulate faulty workers.  Fallback/retry attempts skip
-  // the hook: faults inject at slot entry.  Never set outside tests.
+  // the tracker) to emulate faulty workers.  The hook is part of the slot's
+  // one-time preamble, so the retry and fallback rungs never see it: faults
+  // inject at slot entry.  Never set outside tests.
   std::function<void(std::size_t slot, util::ExecTracker& budget)> debug_slot_fault;
 };
 

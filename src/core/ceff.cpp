@@ -108,9 +108,11 @@ double ceff_second_ramp_numeric(const ChargeModel& load, double f, double tr1,
 
 namespace {
 
+// `upper_ratio` clamps the iterate at upper_ratio * Ctotal.
 CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transition,
                             const std::function<double(double tr)>& ceff_of_tr,
-                            const CeffIterationOptions& options) {
+                            const CeffIterationOptions& options,
+                            double upper_ratio = 20.0) {
   const double c_total = load.admittance().total_capacitance();
   double last_tr = transition(c_total);
 
@@ -120,12 +122,12 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
       options.max_iter, options.budget ? options.budget->spec().max_ceff_iter : 0);
   fp.damping = options.damping;
   fp.budget = options.budget;
-  // Keep the table lookup in a sane range.  Note the upper bound is far
-  // above the total capacitance: the *second* ramp's effective capacitance
-  // routinely exceeds Ctotal because its window also absorbs charge the
-  // initial-step window did not deliver.
+  // Keep the table lookup in a sane range.  Note the default upper bound is
+  // far above the total capacitance: the *second* ramp's effective
+  // capacitance routinely exceeds Ctotal because its window also absorbs
+  // charge the initial-step window did not deliver.
   fp.lower = 1e-4 * c_total;
-  fp.upper = 20.0 * c_total;
+  fp.upper = upper_ratio * c_total;
 
   const util::FixedPointResult r = util::fixed_point(
       [&](double c) {
@@ -169,6 +171,19 @@ CeffIteration iterate_ceff_single(const ChargeModel& load,
                                   const CeffIterationOptions& options) {
   return run_iteration(load, transition,
                        [&](double tr) { return ceff_single(load, tr); }, options);
+}
+
+CeffIteration iterate_ceff3(const ChargeModel& load, double f2, double t_end2,
+                            const TransitionFn& transition,
+                            const CeffIterationOptions& options) {
+  return run_iteration(
+      load, transition,
+      [&](double tr3) {
+        const double v0 = f2 - t_end2 / tr3;
+        return load.window_charge(1.0 / tr3, v0, t_end2, t_end2 + (1.0 - f2) * tr3) /
+               (1.0 - f2);
+      },
+      options, 1.0);
 }
 
 }  // namespace rlceff::core

@@ -90,6 +90,13 @@ CeffIteration iterate_ceff_single(const ChargeModel& load,
                                   const TransitionFn& transition,
                                   const CeffIterationOptions& options = {});
 
+// Three-ramp extension: iterate Ceff3 over the window [t_end2, t_end2 +
+// (1 - f2) * Tr3] of the extended ramp through (t_end2, f2 * Vdd).  Unlike
+// the first two ramps, the iterate is clamped at Ctotal.
+CeffIteration iterate_ceff3(const ChargeModel& load, double f2, double t_end2,
+                            const TransitionFn& transition,
+                            const CeffIterationOptions& options = {});
+
 }  // namespace rlceff::core
 
 #endif  // RLCEFF_CORE_CEFF_H

@@ -246,7 +246,7 @@ void check_net_tier(const net::Net& net, const Options& options,
   if (options.tier_policy == TierPolicy::reference) return;
   const tier::Admission admission = tier::admit_analytical_static(
       net, options.driver_resistance, options.input_slew);
-  const tier::Tier predicted = tier::route(options.tier_policy, admission, false);
+  const tier::Tier predicted = tier::route(options.tier_policy, admission);
   std::string message = std::string("policy ") + tier::to_string(options.tier_policy) +
                         " routes this net to tier " + tier::tier_letter(predicted) +
                         " (" + tier::to_string(predicted) + ")";

@@ -235,10 +235,6 @@ void check_solver_equivalence(const net::Net& net, Rng rng,
   }
 }
 
-void check_banded_vs_dense(const net::Net& net, Rng rng, const OracleOptions& options) {
-  check_solver_equivalence(net, rng, options);
-}
-
 void check_charge_conservation(const net::Net& net, Rng rng,
                                const OracleOptions& options) {
   const double v_final = 1.0;
@@ -1217,6 +1213,25 @@ void check_tier_identity(api::Engine& engine, const api::Request& request,
   expect(t.fidelity == api::Fidelity::ceff_model && t.tier == tier::Tier::ceff &&
              t.tier_escalations == 0,
          "force_ceff response mis-stamped its tier provenance");
+
+  // The reference flag resolves to force_reference: both spellings must give
+  // the same slot, bit for bit, with the reference-only extras kept.
+  api::Request flagged = legacy;
+  flagged.reference = true;
+  flagged.keep_waveforms = true;
+  flagged.one_ramp_baseline = !request.coupled();
+  api::Request pinned = flagged;
+  pinned.reference = false;
+  pinned.tier = tier::TierPolicy::force_reference;
+  const api::Outcome<api::Response> by_flag = engine.model(flagged, options);
+  expect_identical_slots(by_flag, engine.model(pinned, options),
+                         "reference = true vs force_reference");
+  if (by_flag.ok()) {
+    const api::Response& c = by_flag.value();
+    expect(c.fidelity == api::Fidelity::reference && c.tier == tier::Tier::reference &&
+               c.tier_escalations == 0 && c.has_reference,
+           "reference = true response mis-stamped its tier provenance");
+  }
 }
 
 void check_tier_envelope(api::Engine& engine, const api::Request& request,

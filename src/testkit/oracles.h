@@ -82,10 +82,6 @@ void check_cached_vs_naive(const net::CoupledGroup& group, Rng rng,
 void check_solver_equivalence(const net::Net& net, Rng rng,
                               const OracleOptions& options);
 
-// Deprecated: two-way predecessor of check_solver_equivalence; now forwards
-// to the three-way oracle.
-void check_banded_vs_dense(const net::Net& net, Rng rng, const OracleOptions& options);
-
 // Drives the net through a series resistor with a saturated ramp and checks
 // (a) every leaf settles on the rail and (b) the integrated source charge
 // equals C_total * Vdd.
@@ -133,11 +129,12 @@ void check_miller_envelope(const tech::Technology& technology,
 void check_single_net_group_identity(api::Engine& engine, const net::Net& net, Rng rng,
                                      const api::BatchOptions& options);
 
-// Tiered-estimation identity (src/tier/): TierPolicy::force_ceff must
-// reproduce the legacy model-only path bitwise — same outcome, same model
-// numbers — differing only in the provenance stamps; a default-policy
-// request must come back with the legacy tier mapping (the cascade left it
-// alone).
+// Tiered-estimation identity (src/tier/): the default policy resolves to a
+// pinned tier, so TierPolicy::force_ceff must reproduce the model-only path
+// bitwise — same outcome, same model numbers, Tier B stamps — and
+// TierPolicy::force_reference must reproduce reference = true bitwise on
+// every Response field, kept waveforms (and the one-ramp column) included,
+// and on its provenance.
 void check_tier_identity(api::Engine& engine, const api::Request& request,
                          const api::BatchOptions& options);
 

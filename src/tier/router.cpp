@@ -64,10 +64,9 @@ Admission admit_analytical_static(const net::Net& net, double driver_resistance,
   return {};
 }
 
-Tier route(TierPolicy policy, const Admission& admission, bool request_reference) {
+Tier route(TierPolicy policy, const Admission& admission) {
   switch (policy) {
-    case TierPolicy::reference:
-      return request_reference ? Tier::reference : Tier::ceff;
+    case TierPolicy::reference: return Tier::ceff;
     case TierPolicy::balanced:
     case TierPolicy::fastest:
       return admission.ok ? Tier::analytical : Tier::ceff;

@@ -70,12 +70,14 @@ Admission admit_analytical_static(const net::Net& net, double driver_resistance,
                                   double input_slew,
                                   const RouterOptions& options = {});
 
-// The tier a policy routes to given the Tier A admission verdict.  Balanced
-// and fastest take analytical when admitted and ceff otherwise (balanced's
-// further ceff -> reference escalation is a runtime event, not a routing
-// decision); forced policies ignore the admission.  TierPolicy::reference
-// maps to ceff / reference by the request's own reference flag — pass it.
-Tier route(TierPolicy policy, const Admission& admission, bool request_reference);
+// The tier a policy routes to given the Tier A admission verdict — the one
+// policy table api::Engine and lint share.  Balanced and fastest take
+// analytical when admitted and ceff otherwise (balanced's further ceff ->
+// reference escalation is a runtime event, not a routing decision); forced
+// policies ignore the admission.  TierPolicy::reference is the unresolved
+// default and maps to ceff: api::Engine resolves it to force_reference or
+// force_ceff by the request's reference flag before routing.
+Tier route(TierPolicy policy, const Admission& admission);
 
 }  // namespace rlceff::tier
 

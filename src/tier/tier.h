@@ -28,10 +28,10 @@ enum class Tier {
 };
 
 // How a Request wants the cascade used.  `reference` is the default and
-// bypasses the cascade entirely — requests behave exactly as they did before
-// the tier subsystem existed (bitwise, enforced by the property harness).
+// resolves to force_ceff/force_reference by Request::reference (bitwise the
+// same slot as the pinned spelling, enforced by the property harness).
 enum class TierPolicy {
-  reference,         // no routing; Request::reference decides as before
+  reference,         // resolves to force_ceff/force_reference
   balanced,          // cheapest tier whose calibrated envelope admits the
                      // request; escalates A -> B on the applicability screen
                      // and B -> C when the Ceff fixed point cannot agree

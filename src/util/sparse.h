@@ -106,9 +106,6 @@ public:
   // (the scenario-batching caller charges per-lane step budgets instead).
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
 
-  // Fill diagnostics (valid after factor): stored entries of L + U.
-  std::size_t factor_nnz() const { return li_.size() + ui_.size(); }
-
 private:
   std::size_t n_ = 0;
   std::vector<std::size_t> q_;     // column order: factor column k is A column q_[k]

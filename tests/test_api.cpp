@@ -464,6 +464,70 @@ TEST_F(EngineFixture, DampedRetryRescuesConvergenceFailure) {
   EXPECT_EQ(ErrorCode::convergence_failure, r.attempts.front().code);
 }
 
+TEST_F(EngineFixture, ReferenceFlagAndForceReferenceDegradeAlike) {
+  // A 100 ohm / 5 nH / 1 pF line whose reference run is starved of steps.
+  // The reference flag resolves to force_reference, so both spellings walk
+  // one ladder: Tier C fails, the Tier-B fallback answers.
+  auto starved = [] {
+    Request r;
+    r.label = "starved-line";
+    r.cell_size = 100.0;
+    r.input_slew = 100 * ps;
+    r.net = net::Net::uniform_line(100.0, 5 * nh, 1 * pf, 20 * ff);
+    r.budget.max_transient_steps = 5;
+    r.degrade.enabled = true;
+    return r;
+  };
+  Request flagged = starved();
+  flagged.reference = true;
+  Request pinned = starved();
+  pinned.tier = tier::TierPolicy::force_reference;
+  Request model_only = starved();
+  model_only.budget = util::ExecBudget{};
+  model_only.degrade = DegradePolicy{};
+
+  const Response plain = engine_->model(model_only, fast_options()).value();
+  for (const Request& req : {flagged, pinned}) {
+    const Outcome<Response> outcome = engine_->model(req, fast_options());
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+    const Response& r = outcome.value();
+    EXPECT_TRUE(r.degraded);
+    EXPECT_EQ(Fidelity::ceff_model, r.fidelity);
+    EXPECT_EQ(tier::Tier::ceff, r.tier);
+    EXPECT_EQ(0u, r.tier_escalations);
+    EXPECT_FALSE(r.has_reference);
+    ASSERT_EQ(1u, r.attempts.size());
+    EXPECT_EQ(Fidelity::reference, r.attempts.front().fidelity);
+    EXPECT_EQ(ErrorCode::resource_exhausted, r.attempts.front().code);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.model_near.delay),
+              std::bit_cast<std::uint64_t>(r.model_near.delay));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.model_near.slew),
+              std::bit_cast<std::uint64_t>(r.model_near.slew));
+  }
+}
+
+TEST_F(EngineFixture, BalancedTailFailingInTierCLandsOnTheFloor) {
+  // Tier A refuses the inductive line, Tier B's over-relaxed fixed point
+  // diverges, and balanced escalates to Tier C — where the step budget runs
+  // out.  The attempt names the rung that failed (reference), and balanced,
+  // which reached C only after B failed, goes straight to the floor.
+  Request r = inductive_request("balanced-tail");
+  r.tier = tier::TierPolicy::balanced;
+  r.model.iteration.damping = 6.0;
+  r.budget.max_transient_steps = 16;
+  r.degrade.enabled = true;
+  const Outcome<Response> outcome = engine_->model(r, fast_options());
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  const Response& floor = outcome.value();
+  EXPECT_TRUE(floor.degraded);
+  EXPECT_EQ(Fidelity::moments_only, floor.fidelity);
+  EXPECT_EQ(tier::Tier::ceff, floor.tier);
+  EXPECT_EQ(0u, floor.tier_escalations);
+  ASSERT_EQ(1u, floor.attempts.size());
+  EXPECT_EQ(Fidelity::reference, floor.attempts.front().fidelity);
+  EXPECT_EQ(ErrorCode::resource_exhausted, floor.attempts.front().code);
+}
+
 TEST(EngineCache, CharacterizationFailureIsReportedPerSlot) {
   // An unusable grid makes characterization itself throw.  run_batch must
   // not propagate that: every slot needing the size carries the error (and
@@ -621,6 +685,10 @@ TEST_F(EngineFixture, FarEndReplayValidation) {
   tiered.tier = tier::TierPolicy::balanced;
   ASSERT_FALSE(engine_->model(tiered, fast_options()).ok());
 
+  Request pinned_c = replay_request("replay-force-c", 100 * ps);
+  pinned_c.tier = tier::TierPolicy::force_reference;
+  ASSERT_FALSE(engine_->model(pinned_c, fast_options()).ok());
+
   // A coupled victim replays through its Miller-decoupled net; for the
   // one-net group that is the plain net, bit for bit.
   Request coupled = replay_request("replay-coupled", 100 * ps);
@@ -698,6 +766,30 @@ void expect_batched_matches_per_slot(Engine& engine,
 
 TEST_F(EngineFixture, BatchedReplayBitwiseMatchesPerSlot) {
   expect_batched_matches_per_slot(*engine_, replay_grid(), fast_options());
+}
+
+TEST_F(EngineFixture, FarEndReplayUnderForceCeffMatchesDefault) {
+  // The default policy resolves to force_ceff, so pinning Tier B keeps the
+  // replay: same far end, bit for bit, batched and per slot.
+  std::vector<Request> requests = replay_grid();
+  for (Request& r : replay_grid()) {
+    r.label += "-force-b";
+    r.tier = tier::TierPolicy::force_ceff;
+    requests.push_back(std::move(r));
+  }
+  expect_batched_matches_per_slot(*engine_, requests, fast_options());
+  const std::vector<Outcome<Response>> out = engine_->run_batch(requests, fast_options());
+  const std::size_t half = requests.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    ASSERT_TRUE(out[i].ok() && out[half + i].ok()) << requests[i].label;
+    const Response& def = out[i].value();
+    const Response& pinned = out[half + i].value();
+    EXPECT_EQ(api_dbits(def.model_far.delay), api_dbits(pinned.model_far.delay));
+    EXPECT_EQ(api_dbits(def.model_far.slew), api_dbits(pinned.model_far.slew));
+    expect_wave_bitwise(def.model_far_wave, pinned.model_far_wave);
+    EXPECT_EQ(tier::Tier::ceff, pinned.tier);
+    EXPECT_EQ(Fidelity::ceff_model, pinned.fidelity);
+  }
 }
 
 TEST_F(EngineFixture, BatchedReplayUnderNaiveAssemblyMatchesPerSlot) {

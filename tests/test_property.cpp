@@ -567,16 +567,21 @@ TEST(PropertySuite, NanStampGuard) {
   });
 }
 
-// TierPolicy::force_ceff must be bitwise-identical to the legacy model-only
-// path on every random request (single nets and coupled groups alike): the
-// tier subsystem is routing, not a new estimator, for Tier B.
+// The default policy resolves to a pinned tier: TierPolicy::force_ceff must
+// be bitwise-identical to the model-only path and force_reference to
+// reference = true on every random request (single nets and coupled groups
+// alike).  Low-fidelity decks keep the reference pair cheap; the model-only
+// pair never reads the deck.
 TEST(PropertySuite, TierIdentity) {
   shared_engine();
   run_family("tier_identity", 400, 1, [](std::uint64_t seed) -> std::string {
     Rng rng(seed);
     const api::Request request = random_request(rng);
+    api::BatchOptions options = property_batch_options();
+    options.deck.segments = 8;
+    options.deck.dt = 2 * ps;
     try {
-      check_tier_identity(shared_engine(), request, property_batch_options());
+      check_tier_identity(shared_engine(), request, options);
       return {};
     } catch (const Error& e) {
       return report("tier_identity", seed, "request '" + request.label + "'",

@@ -121,16 +121,17 @@ TEST(TierNames, TierLetters) {
 TEST(TierRouter, RouteTable) {
   const Admission yes{};
   const Admission no{false, "deep_shielding"};
-  EXPECT_EQ(route(TierPolicy::reference, yes, false), Tier::ceff);
-  EXPECT_EQ(route(TierPolicy::reference, yes, true), Tier::reference);
-  EXPECT_EQ(route(TierPolicy::balanced, yes, false), Tier::analytical);
-  EXPECT_EQ(route(TierPolicy::balanced, no, false), Tier::ceff);
-  EXPECT_EQ(route(TierPolicy::fastest, yes, false), Tier::analytical);
-  EXPECT_EQ(route(TierPolicy::fastest, no, false), Tier::ceff);
+  // The unresolved default routes like force_ceff (the engine resolves a
+  // reference = true request to force_reference before routing).
+  EXPECT_EQ(route(TierPolicy::reference, yes), Tier::ceff);
+  EXPECT_EQ(route(TierPolicy::balanced, yes), Tier::analytical);
+  EXPECT_EQ(route(TierPolicy::balanced, no), Tier::ceff);
+  EXPECT_EQ(route(TierPolicy::fastest, yes), Tier::analytical);
+  EXPECT_EQ(route(TierPolicy::fastest, no), Tier::ceff);
   // Forced policies ignore the admission verdict.
-  EXPECT_EQ(route(TierPolicy::force_analytical, no, false), Tier::analytical);
-  EXPECT_EQ(route(TierPolicy::force_ceff, yes, false), Tier::ceff);
-  EXPECT_EQ(route(TierPolicy::force_reference, yes, false), Tier::reference);
+  EXPECT_EQ(route(TierPolicy::force_analytical, no), Tier::analytical);
+  EXPECT_EQ(route(TierPolicy::force_ceff, no), Tier::ceff);
+  EXPECT_EQ(route(TierPolicy::force_reference, no), Tier::reference);
 }
 
 TEST(TierRouter, AdmissionRefusalReasons) {

@@ -92,9 +92,10 @@
 //                        replays its modeled driver waveform through the net
 //                        and reports the far-end delay/slew (the paper's
 //                        Fig-6 flow) without running the full transient
-//                        reference.  Incompatible with --reference (which
-//                        computes the far end itself) and --tier.  Coupled
-//                        victims stay near-end-only.
+//                        reference.  Needs Tier B: incompatible with
+//                        --reference (which computes the far end itself)
+//                        and with every --tier but b.  Coupled victims stay
+//                        near-end-only.
 //     --batch-scenarios on|off
 //                        shared-factorization scenario batching for the
 //                        --far-end replays (default on): equal-topology
@@ -256,10 +257,11 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
     return false;
   }
   if (opt.far_end &&
-      (opt.reference || opt.tier != tier::TierPolicy::reference)) {
+      (opt.reference || (opt.tier != tier::TierPolicy::reference &&
+                         opt.tier != tier::TierPolicy::force_ceff))) {
     std::fprintf(stderr,
                  "--far-end is the model-only replay; --reference computes the "
-                 "far end itself and a tier policy routes around it\n");
+                 "far end itself and a routing tier policy routes around it\n");
     return false;
   }
   return !opt.deck_path.empty();
