@@ -205,7 +205,6 @@ RungOptions rung_options(const Request& r, const BatchOptions& options,
 // ignored) defaults every unnamed net to a quiet neighbor.
 core::ExperimentCase experiment_case(const Request& r) {
   core::ExperimentCase scenario;
-  scenario.label = r.label;
   scenario.driver_size = r.cell_size;
   scenario.input_slew = r.input_slew;
   if (!r.coupled()) {
@@ -277,11 +276,30 @@ core::EdgeMetrics measure_model(const core::DriverOutputModel& m, double vdd) {
   return {e.t50, e.transition_10_90()};
 }
 
-// The replay deck a model-only far_end_replay slot runs through its flow net:
-// the modeled PWL shifted into absolute deck time (the model's t = 0 is the
-// input 50 % crossing, analytically t_start + slew/2 for a saturated ramp
-// input), a horizon auto-sized like the reference harness, and the
-// dominant-path leaf to measure.
+// The paper's estimator on the flow net — the model every Ceff rung serves
+// — plus, for a coupled victim whose aggressors switch, the same estimator
+// on the quiet net for the pushout estimate.  Fills model, model_near and
+// delay_pushout_model; returns the quiet-net model (none when the flow net
+// is the quiet net) so the caller decides when its convergence gates.
+template <class Estimator>
+std::optional<core::DriverOutputModel> model_flow(const FlowNets& nets, double vdd,
+                                                  const Estimator& estimate,
+                                                  Response& response) {
+  response.model = estimate(nets.net());
+  response.model_near = measure_model(response.model, vdd);
+  if (!nets.quiet) return std::nullopt;
+  core::DriverOutputModel base = estimate(*nets.quiet);
+  response.delay_pushout_model =
+      response.model_near.delay - measure_model(base, vdd).delay;
+  return base;
+}
+
+// The replay deck a far-end replay runs through its flow net: the modeled
+// PWL shifted into absolute deck time (the model's t = 0 is the input 50 %
+// crossing, analytically t_start + slew/2 for a saturated ramp input, as in
+// the reference deck), a horizon auto-sized like the reference harness, and
+// the dominant-path leaf to measure.  A Tier-C slot swaps in its reference
+// deck's horizon and sink.
 struct ReplayPlan {
   wave::Pwl source;
   tech::DeckOptions deck;
@@ -308,7 +326,7 @@ ReplayPlan plan_far_end_replay(const Request& request, const net::Net& net,
 
 // The far-end measurement of a finished replay, shared by the inline and
 // the batched path so BatchOptions::batch_scenarios on/off is a bitwise
-// no-op on the numbers.
+// no-op on the numbers.  Reports the replay deck's backend as the slot's.
 void measure_replay(const tech::SourceNetDeck& deck, const sim::TransientResult& run,
                     std::size_t dominant_leaf, double input_time_50,
                     bool keep_waveforms, double vdd, Response& response) {
@@ -340,63 +358,77 @@ Engine::Engine(tech::Technology technology) : technology_(technology) {}
 
 Response Engine::reference_rung(const Request& request, const BatchOptions& options,
                                 const RungOptions& rung) {
+  // The simulated views first, then Tier B's own model on the same flow net:
+  // Tier C adds a simulation, never a second model.
   core::ExperimentOptions opt;
   opt.deck = rung.deck;
-  opt.grid = options.grid;
-  opt.model = rung.model;
-  opt.include_far_end = request.far_end;
-  opt.include_one_ramp = request.one_ramp_baseline;
   opt.include_noise = request.noise;
   opt.keep_waveforms = request.keep_waveforms;
+  core::ExperimentResult views =
+      core::simulate_reference(technology_, experiment_case(request), opt);
 
-  core::ExperimentResult r =
-      core::run_experiment(technology_, library_, experiment_case(request), opt);
-  // The pushout estimate leans on the quiet-baseline model too; a
-  // non-converged baseline must fail the slot like the primary model.
-  check_convergence(request, r.model_base);
+  const FlowNets nets = flow_nets(request);
+  const charlib::CharacterizedDriver& driver =
+      library_.ensure_driver(technology_, request.cell_size, options.grid);
   Response response;
-  response.model = std::move(r.model);
-  response.model_near = r.model_near;
+  const std::optional<core::DriverOutputModel> base = model_flow(
+      nets, technology_.vdd,
+      [&](const net::Net& net) {
+        return core::model_driver_output(driver, request.input_slew, net, rung.model);
+      },
+      response);
+  response.input_time_50 = views.input_time_50;
+  if (request.far_end) {
+    // Tier B's replay, run inline under the slot's budget to the reference
+    // deck's horizon and measured at the sink ref_far was measured at.
+    ReplayPlan plan = plan_far_end_replay(request, nets.net(), rung.deck, response.model);
+    plan.deck.t_stop = views.t_stop;
+    plan.dominant_leaf = views.far_leaf;
+    run_replay_inline(technology_, request, nets.net(), plan, rung.deck.sim.budget,
+                      response);
+  }
+  if (request.one_ramp_baseline) {
+    // The paper's Table-1/Fig-7 baseline is a *pure* single ramp; keep the
+    // ref-[11] tail out of the comparison column.
+    core::DriverModelOptions one = rung.model;
+    one.selection = core::ModelSelection::force_one_ramp;
+    one.shielding_tail = false;
+    response.one_ramp =
+        core::model_driver_output(driver, request.input_slew, nets.net(), one);
+    response.one_near = measure_model(response.one_ramp, technology_.vdd);
+  }
+  // The pushout estimate leans on the quiet-net model too; a non-converged
+  // quiet model must fail the slot like the primary model.
+  check_convergence(request, base ? *base : response.model);
   response.has_reference = true;
-  response.ref_near = r.ref_near;
-  response.ref_far = r.ref_far;
-  response.model_far = r.model_far;
-  response.has_model_far = request.far_end;
-  response.one_near = r.one_near;
-  response.one_ramp = std::move(r.one_ramp);
-  response.base_near = r.base_near;
-  response.base_far = r.base_far;
-  response.delay_pushout = r.delay_pushout;
-  response.delay_pushout_model = r.delay_pushout_model;
-  response.peak_noise = r.peak_noise;
-  response.ref_near_wave = std::move(r.ref_near_wave);
-  response.ref_far_wave = std::move(r.ref_far_wave);
-  response.model_far_wave = std::move(r.model_far_wave);
-  response.input_time_50 = r.input_time_50;
+  response.ref_near = views.ref_near;
+  response.ref_far = views.ref_far;
+  response.base_near = views.base_near;
+  response.base_far = views.base_far;
+  response.delay_pushout = views.delay_pushout;
+  response.peak_noise = views.peak_noise;
+  response.ref_near_wave = std::move(views.ref_near_wave);
+  response.ref_far_wave = std::move(views.ref_far_wave);
+  // The replay deck has its own backend; the slot reports the reference's.
   response.has_solver = true;
-  response.solver = r.solver;
+  response.solver = views.solver;
   check_convergence(request, response.model);
   return response;
 }
 
 Response Engine::ceff_rung(const Request& request, const BatchOptions& options,
                            const RungOptions& rung, std::optional<ReplayJob>* deferred) {
-  // The paper's flow on the flow net, plus the quiet-environment model for a
-  // coupled victim's pushout estimate.
   const FlowNets nets = flow_nets(request);
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
   Response response;
-  response.model =
-      core::model_driver_output(driver, request.input_slew, nets.net(), rung.model);
-  response.model_near = measure_model(response.model, technology_.vdd);
-  if (nets.quiet) {
-    const core::DriverOutputModel base =
-        core::model_driver_output(driver, request.input_slew, *nets.quiet, rung.model);
-    check_convergence(request, base);
-    response.delay_pushout_model =
-        response.model_near.delay - measure_model(base, technology_.vdd).delay;
-  }
+  const std::optional<core::DriverOutputModel> base = model_flow(
+      nets, technology_.vdd,
+      [&](const net::Net& net) {
+        return core::model_driver_output(driver, request.input_slew, net, rung.model);
+      },
+      response);
+  if (base) check_convergence(request, *base);
   if (request.far_end_replay) {
     // Fail a non-converged model *before* planning or enqueueing its
     // replay, so a slot that fails here leaves nothing behind to patch.
@@ -423,17 +455,13 @@ Response Engine::ceff_rung(const Request& request, const BatchOptions& options,
 Response Engine::moments_floor(const Request& request, const BatchOptions& options) {
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
-  const FlowNets nets = flow_nets(request);
   Response response;
-  response.model =
-      core::estimate_driver_output_moments_only(driver, request.input_slew, nets.net());
-  response.model_near = measure_model(response.model, technology_.vdd);
-  if (nets.quiet) {
-    const core::DriverOutputModel base = core::estimate_driver_output_moments_only(
-        driver, request.input_slew, *nets.quiet);
-    response.delay_pushout_model =
-        response.model_near.delay - measure_model(base, technology_.vdd).delay;
-  }
+  model_flow(flow_nets(request), technology_.vdd,
+             [&](const net::Net& net) {
+               return core::estimate_driver_output_moments_only(driver, request.input_slew,
+                                                                net);
+             },
+             response);
   return response;
 }
 

@@ -136,7 +136,12 @@ private:
   // `deferred` (nullable) receives the replay job instead of running it.
   Response ceff_rung(const Request& request, const BatchOptions& options,
                      const RungOptions& opt, std::optional<ReplayJob>* deferred);
-  // Tier C: the transient reference experiment (core::run_experiment).
+  // Tier C: Tier B plus a simulation.  The simulated views
+  // (core::simulate_reference: reference, quiet baseline, noise), then Tier
+  // B's own model, quiet-net model and pushout on the same flow net, its
+  // far-end replay run inline to the reference deck's horizon, and the
+  // one-ramp column (force_one_ramp, no shielding tail).  Convergence gates
+  // last, so a non-converged model still costs its replay.
   Response reference_rung(const Request& request, const BatchOptions& options,
                           const RungOptions& opt);
   // The floor: core::estimate_driver_output_moments_only on the request's

@@ -31,7 +31,8 @@ namespace rlceff::api {
 // engine's slot ladder.  The three tier rungs map one-to-one onto tier::Tier;
 // the floor reports Tier B (Response::tier keeps three values).
 enum class Fidelity {
-  reference,     // Tier C: full transient reference simulation + paper-flow model
+  reference,     // Tier C: Tier B's model plus the full transient reference
+                 // simulation it is scored against
   ceff_model,    // Tier B: the paper's Ceff one/two-ramp model (table-driven)
   moments_only,  // degraded floor: cell table at Ctotal (first moment m1);
                  // see core::estimate_driver_output_moments_only's envelope
@@ -233,9 +234,11 @@ struct Response {
   wave::Waveform model_far_wave;
   double input_time_50 = 0.0;
 
-  // Which linear-solver backend factored the reference deck.  Only
-  // meaningful when has_solver is set (reference-backed slots); model-only
-  // slots never run a transient, so they report no solver.
+  // Which linear-solver backend factored the slot's transient: the
+  // reference deck on reference-backed slots (their far-end replay deck is
+  // not reported), the replay deck on model-only far_end_replay slots.
+  // Only meaningful when has_solver is set; other model-only slots run no
+  // transient and report no solver.
   bool has_solver = false;
   sim::SolverKind solver = sim::SolverKind::automatic;
 

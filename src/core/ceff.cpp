@@ -114,7 +114,6 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
                             const CeffIterationOptions& options,
                             double upper_ratio = 20.0) {
   const double c_total = load.admittance().total_capacitance();
-  double last_tr = transition(c_total);
 
   util::FixedPointOptions fp;
   fp.rel_tol = options.rel_tol;
@@ -131,9 +130,9 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
 
   const util::FixedPointResult r = util::fixed_point(
       [&](double c) {
-        last_tr = transition(c);
-        ensure(last_tr > 0.0, "ceff iteration: table returned non-positive ramp time");
-        return ceff_of_tr(last_tr);
+        const double tr = transition(c);
+        ensure(tr > 0.0, "ceff iteration: table returned non-positive ramp time");
+        return ceff_of_tr(tr);
       },
       c_total, fp);
   if (!r.converged && fp.max_iter < options.max_iter) {

@@ -12,12 +12,6 @@ namespace rlceff::core {
 
 namespace {
 
-EdgeMetrics measure_model_pwl(const DriverOutputModel& m, double vdd,
-                              double horizon) {
-  const wave::Waveform w = m.waveform.to_waveform(m.waveform.end_time() + horizon);
-  return measure_edge(w, vdd, 0.0);
-}
-
 AggressorDrive aggressor_at(const ExperimentCase& c, std::size_t k) {
   return k < c.aggressors.size() ? c.aggressors[k] : AggressorDrive{};
 }
@@ -107,22 +101,12 @@ double miller_factor(AggressorSwitching switching) {
   return 2.0;
 }
 
-std::vector<double> miller_factors(const ExperimentCase& scenario) {
-  std::vector<double> factors(scenario.group.size(), 1.0);
-  for (std::size_t k = 0; k < scenario.group.size(); ++k) {
-    if (k == scenario.victim || k >= scenario.aggressors.size()) continue;
-    factors[k] = miller_factor(scenario.aggressors[k].switching);
-  }
-  return factors;
-}
-
-ExperimentResult run_experiment(const tech::Technology& technology,
-                                charlib::CellLibrary& library,
-                                const ExperimentCase& scenario,
-                                const ExperimentOptions& options) {
-  ensure(!scenario.group.empty(), "run_experiment: empty group");
+ExperimentResult simulate_reference(const tech::Technology& technology,
+                                    const ExperimentCase& scenario,
+                                    const ExperimentOptions& options) {
+  ensure(!scenario.group.empty(), "simulate_reference: empty group");
   ensure(scenario.victim < scenario.group.size(),
-         "run_experiment: victim index out of range");
+         "simulate_reference: victim index out of range");
   // A one-net group has no environment: its quiet baseline is the reference
   // deck itself and its noise view is flat, so neither is simulated.
   const bool alone = scenario.group.size() == 1;
@@ -132,6 +116,8 @@ ExperimentResult run_experiment(const tech::Technology& technology,
       scenario.group.net_at(scenario.victim).metrics();
   tech::DeckOptions deck = options.deck;
   deck.t_stop = auto_t_stop(scenario, options);
+  out.t_stop = deck.t_stop;
+  out.far_leaf = victim_metrics.dominant_leaf;
 
   // Reference: the full coupled system, every net driven.
   {
@@ -151,14 +137,12 @@ ExperimentResult run_experiment(const tech::Technology& technology,
   }
 
   // Quiet-environment baseline: the victim alone with every coupling cap
-  // grounded at 1x — the delay-pushout anchor.  (A lone net's only Miller
-  // factor is its own 1x, so the model below never needs quiet_net for it.)
-  net::Net quiet_net;
+  // grounded at 1x — the delay-pushout anchor.
   if (alone) {
     out.base_near = out.ref_near;
     out.base_far = out.ref_far;
   } else {
-    quiet_net = scenario.group.decoupled_net(scenario.victim);
+    const net::Net quiet_net = scenario.group.decoupled_net(scenario.victim);
     const tech::Inverter cell{scenario.driver_size};
     const tech::NetSimResult base = tech::simulate_driver_net(
         technology, cell, scenario.input_slew, quiet_net, deck);
@@ -175,7 +159,7 @@ ExperimentResult run_experiment(const tech::Technology& technology,
         tech::simulate_coupled_group(technology, drives, scenario.group, deck);
     const wave::Waveform& far =
         noisy.nets[scenario.victim].leaves.at(victim_metrics.dominant_leaf);
-    ensure(far.size() > 0, "run_experiment: empty noise waveform");
+    ensure(far.size() > 0, "simulate_reference: empty noise waveform");
     const double rest = far.value(0);
     double peak = 0.0;
     for (std::size_t k = 0; k < far.size(); ++k) {
@@ -185,53 +169,6 @@ ExperimentResult run_experiment(const tech::Technology& technology,
     if (options.keep_waveforms) out.noise_wave = far;
   }
 
-  // Miller-decoupled model (the paper's flow on the single-net equivalent).
-  const std::vector<double> factors = miller_factors(scenario);
-  const net::Net miller_net =
-      scenario.group.decoupled_net(scenario.victim, factors);
-  const charlib::CharacterizedDriver& driver =
-      library.ensure_driver(technology, scenario.driver_size, options.grid);
-  out.model = model_driver_output(driver, scenario.input_slew, miller_net,
-                                  options.model);
-  out.model_near = measure_model_pwl(out.model, technology.vdd, deck.t_stop);
-
-  // Quiet-environment model for the pushout estimate.  When every factor is
-  // 1 the Miller net *is* the quiet net: reuse the model instead of running
-  // the Ceff flow a second time.
-  const bool quiet_equals_miller =
-      std::all_of(factors.begin(), factors.end(), [](double f) { return f == 1.0; });
-  if (quiet_equals_miller) {
-    out.model_base = out.model;
-    out.model_base_near = out.model_near;
-  } else {
-    out.model_base = model_driver_output(driver, scenario.input_slew, quiet_net,
-                                         options.model);
-    out.model_base_near =
-        measure_model_pwl(out.model_base, technology.vdd, deck.t_stop);
-  }
-  out.delay_pushout_model = out.model_near.delay - out.model_base_near.delay;
-
-  if (options.include_far_end) {
-    // Replay the modeled waveform through the decoupled net in deck time.
-    std::vector<std::pair<double, double>> pts = out.model.waveform.points();
-    for (auto& [t, v] : pts) t += out.input_time_50;
-    const wave::Pwl absolute(std::move(pts));
-    const tech::NetSimResult replay =
-        tech::simulate_source_net(absolute, miller_net, deck);
-    const wave::Waveform& far = replay.leaves.at(victim_metrics.dominant_leaf);
-    out.model_far = measure_edge(far, technology.vdd, out.input_time_50);
-    if (options.keep_waveforms) out.model_far_wave = far;
-  }
-
-  if (options.include_one_ramp) {
-    DriverModelOptions one = options.model;
-    one.selection = ModelSelection::force_one_ramp;
-    // The paper's Table-1/Fig-7 baseline is a *pure* single ramp; keep the
-    // ref-[11] tail out of the comparison column.
-    one.shielding_tail = false;
-    out.one_ramp = model_driver_output(driver, scenario.input_slew, miller_net, one);
-    out.one_near = measure_model_pwl(out.one_ramp, technology.vdd, deck.t_stop);
-  }
   return out;
 }
 

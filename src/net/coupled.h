@@ -7,10 +7,11 @@
 //   * ckt::append_coupled_group compiles it into one simulation deck of
 //     aligned pi ladders with node-to-node coupling capacitors and
 //     per-segment mutual inductors (K elements),
-//   * core::run_experiment simulates the full coupled system as the
-//     reference and runs the paper's Ceff flow per victim on the
-//     Miller-decoupled equivalent net (decoupled_net),
-//   * api::Engine accepts coupled requests with aggressor descriptors.
+//   * core::simulate_reference simulates the full coupled system as the
+//     reference,
+//   * api::Engine accepts coupled requests with aggressor descriptors and
+//     runs the paper's Ceff flow per victim on the Miller-decoupled
+//     equivalent net (decoupled_net).
 //
 // Sections are addressed by their depth-first index within a net (the order
 // ckt::append_net compiles them, root branch first).  Every coupling element

@@ -5,7 +5,7 @@
 //   * ckt::append_net compiles it into a discretized simulation deck,
 //   * moments::net_admittance expands its driving-point admittance series,
 //   * core::model_driver_output runs the paper's Ceff flow on it,
-//   * core::run_experiment simulates and models it side by side (as the
+//   * core::simulate_reference simulates it as the reference (as the
 //     one-net net::CoupledGroup).
 //
 // The shape is a tree of branches.  Each branch is a route of uniform wire

@@ -957,35 +957,42 @@ void check_group_invariants(const net::CoupledGroup& group, std::size_t victim,
   }
 }
 
-void check_miller_envelope(const tech::Technology& technology,
-                           charlib::CellLibrary& library, const GroupRecipe& recipe,
-                           Rng rng, const OracleOptions& options) {
-  core::ExperimentCase scenario;
-  scenario.label = "miller-" + describe(recipe);
-  scenario.group = instantiate(recipe);
-  scenario.victim = rng.uniform_index(scenario.group.size());
-  scenario.driver_size = rng.pick(kCells);
-  scenario.input_slew = rng.uniform(50 * ps, 200 * ps);
-  core::AggressorDrive drive;
-  for (std::size_t k = 0; k < scenario.group.size(); ++k) {
-    drive.driver_size = rng.pick(kCells);
+void check_miller_envelope(api::Engine& engine, const GroupRecipe& recipe, Rng rng,
+                           const OracleOptions& options) {
+  api::Request request;
+  request.label = "miller-" + describe(recipe);
+  request.group = instantiate(recipe);
+  request.victim = rng.uniform_index(request.group.size());
+  request.cell_size = rng.pick(kCells);
+  request.input_slew = rng.uniform(50 * ps, 200 * ps);
+  for (std::size_t k = 0; k < request.group.size(); ++k) {
+    // The victim's draws are made and dropped, so every aggressor keeps
+    // its place in the seeded stream.
+    api::Aggressor drive;
+    drive.net = k;
+    drive.cell_size = rng.pick(kCells);
     drive.input_slew = rng.uniform(50 * ps, 200 * ps);
     drive.switching = rng.chance(0.5) ? core::AggressorSwitching::opposite
                                       : core::AggressorSwitching::same_direction;
-    scenario.aggressors.push_back(drive);
+    if (k != request.victim) request.aggressors.push_back(drive);
   }
+  request.reference = true;
+  // The envelope scores the model as computed; convergence is
+  // check_engine_outcome's surface.
+  request.require_convergence = false;
 
-  core::ExperimentOptions opt;
+  api::BatchOptions opt;
   opt.deck.segments = options.segments;
   opt.deck.dt = options.dt;
   opt.grid.input_slews = {50 * ps, 100 * ps, 200 * ps};
   opt.grid.loads = {20 * ff, 50 * ff,  200 * ff, 500 * ff,
                     1 * pf,  2 * pf,   4 * pf};
-  opt.include_noise = true;
-  opt.include_one_ramp = false;
 
-  const core::ExperimentResult r =
-      core::run_experiment(technology, library, scenario, opt);
+  const api::Outcome<api::Response> outcome = engine.model(request, opt);
+  expect(outcome.ok(), "coupled reference slot failed: " +
+                           (outcome.ok() ? std::string() : outcome.error().message));
+  const api::Response& r = outcome.value();
+  const double vdd = engine.technology().vdd;
 
   expect(std::isfinite(r.ref_far.delay) && r.ref_far.slew > 0.0,
          "coupled reference produced a degenerate far-end edge");
@@ -999,7 +1006,7 @@ void check_miller_envelope(const tech::Technology& technology,
          "Miller-decoupled far-end delay " + fmt(r.model_far.delay) +
              " s outside the envelope of the coupled simulation " +
              fmt(r.ref_far.delay) + " s (envelope " + fmt(envelope) + " s)");
-  expect(r.peak_noise >= 0.0 && r.peak_noise <= technology.vdd,
+  expect(r.peak_noise >= 0.0 && r.peak_noise <= vdd,
          "quiet-victim peak noise " + fmt(r.peak_noise) + " V outside [0, Vdd]");
 }
 
@@ -1226,11 +1233,41 @@ void check_tier_identity(api::Engine& engine, const api::Request& request,
   const api::Outcome<api::Response> by_flag = engine.model(flagged, options);
   expect_identical_slots(by_flag, engine.model(pinned, options),
                          "reference = true vs force_reference");
-  if (by_flag.ok()) {
-    const api::Response& c = by_flag.value();
-    expect(c.fidelity == api::Fidelity::reference && c.tier == tier::Tier::reference &&
-               c.tier_escalations == 0 && c.has_reference,
-           "reference = true response mis-stamped its tier provenance");
+  if (!by_flag.ok()) return;
+  const api::Response& c = by_flag.value();
+  expect(c.fidelity == api::Fidelity::reference && c.tier == tier::Tier::reference &&
+             c.tier_escalations == 0 && c.has_reference,
+         "reference = true response mis-stamped its tier provenance");
+
+  // Tier C is Tier B plus a simulation: the reference slot's model, near
+  // end, pushout and far-end replay are its force_ceff + far_end_replay
+  // twin's, bit for bit.  On a single net both replays share one horizon,
+  // so the replayed waveform matches too; a coupled reference deck is sized
+  // for the whole group and runs longer.
+  api::Request replay = forced;
+  replay.far_end_replay = true;
+  replay.keep_waveforms = true;
+  const api::Outcome<api::Response> twin = engine.model(replay, options);
+  expect(twin.ok(), "reference slot served but its Tier-B replay twin failed: " +
+                        (twin.ok() ? std::string() : twin.error().message));
+  const api::Response& r = twin.value();
+  const std::string what = "reference vs Tier-B replay twin";
+  expect_same_model(c.model, r.model, what);
+  using EdgePair = std::pair<core::EdgeMetrics, core::EdgeMetrics>;
+  const std::pair<const char*, EdgePair> edges[] = {
+      {"model_near", {c.model_near, r.model_near}},
+      {"model_far", {c.model_far, r.model_far}}};
+  for (const auto& [name, m] : edges) {
+    expect(dbits(m.first.delay) == dbits(m.second.delay) &&
+               dbits(m.first.slew) == dbits(m.second.slew),
+           what + ": " + name + " differs bitwise (" + fmt(m.first.delay) + " vs " +
+               fmt(m.second.delay) + " s)");
+  }
+  expect(dbits(c.delay_pushout_model) == dbits(r.delay_pushout_model),
+         what + ": delay_pushout_model differs bitwise");
+  expect(c.has_model_far && r.has_model_far, what + ": a far-end replay is missing");
+  if (!request.coupled()) {
+    expect_wave_bitwise(c.model_far_wave, r.model_far_wave, what + ": model far wave");
   }
 }
 

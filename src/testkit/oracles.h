@@ -28,6 +28,8 @@
 //                          the one-net group compiles the one-net deck,
 //   * one-net identity:    a net and its one-net group give the same
 //                          Response, bit for bit, on every slot shape,
+//   * tier identity:       each policy spelling of a pinned tier is one slot,
+//                          and Tier C serves Tier B's model bit for bit,
 //   * Miller envelope:     the decoupled model's far-end delay tracks the
 //                          full coupled simulation within a coarse envelope.
 //
@@ -114,11 +116,10 @@ void check_group_invariants(const net::CoupledGroup& group, std::size_t victim,
                             const OracleOptions& options);
 
 // The expensive end-to-end oracle: full coupled simulation vs the
-// Miller-decoupled model through core::run_experiment at low
-// fidelity; far-end delays must agree within a coarse envelope.
-void check_miller_envelope(const tech::Technology& technology,
-                           charlib::CellLibrary& library, const GroupRecipe& recipe,
-                           Rng rng, const OracleOptions& options);
+// Miller-decoupled model, as one engine reference slot at low fidelity;
+// far-end delays must agree within a coarse envelope.
+void check_miller_envelope(api::Engine& engine, const GroupRecipe& recipe, Rng rng,
+                           const OracleOptions& options);
 
 // One-net group identity: a single-net request and its
 // net::CoupledGroup::single twin share one slot path, so they must agree
@@ -134,7 +135,10 @@ void check_single_net_group_identity(api::Engine& engine, const net::Net& net, R
 // bitwise — same outcome, same model numbers, Tier B stamps — and
 // TierPolicy::force_reference must reproduce reference = true bitwise on
 // every Response field, kept waveforms (and the one-ramp column) included,
-// and on its provenance.
+// and on its provenance.  And Tier C is Tier B plus a simulation: a served
+// reference slot must match its force_ceff + far_end_replay twin bitwise in
+// model, model_near, delay_pushout_model and model_far (and model_far_wave
+// on single nets).
 void check_tier_identity(api::Engine& engine, const api::Request& request,
                          const api::BatchOptions& options);
 

@@ -9,8 +9,10 @@
 //     (no fixed point, no waveform measurement).  See tier/analytical.h.
 //   * Tier B (ceff)       — the paper's moments/AWE + Ceff one/two-ramp
 //     model (core::model_driver_output): the existing production path.
-//   * Tier C (reference)  — the full (coupled) transient reference
-//     simulation (core::run_experiment).
+//   * Tier C (reference)  — Tier B plus the full (coupled) transient
+//     reference simulation (core::simulate_reference): the model is Tier
+//     B's, run by the same code on the same net, and the simulation scores
+//     it.
 // tier/router.h decides which tier serves a request; tier/envelope.h holds
 // the offline-calibrated accuracy envelope each cheaper tier is held to.
 //

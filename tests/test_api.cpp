@@ -49,6 +49,16 @@ Request inductive_request(std::string label) {
   return r;
 }
 
+std::uint64_t api_dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_wave_bitwise(const wave::Waveform& a, const wave::Waveform& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(api_dbits(a.time(i)), api_dbits(b.time(i))) << "t[" << i << "]";
+    ASSERT_EQ(api_dbits(a.value(i)), api_dbits(b.value(i))) << "v[" << i << "]";
+  }
+}
+
 class EngineFixture : public ::testing::Test {
 protected:
   static void SetUpTestSuite() { engine_ = new Engine(tech::Technology::cmos180()); }
@@ -85,38 +95,56 @@ TEST_F(EngineFixture, ModelOnlyMatchesDirectCoreFlow) {
   EXPECT_GT(r.model_near.slew, 0.0);
 }
 
-TEST_F(EngineFixture, ReferenceModeMatchesRunExperiment) {
+TEST_F(EngineFixture, ReferenceModeIsTierBPlusSimulation) {
   Request req = inductive_request("reference");
   req.reference = true;
   req.one_ramp_baseline = true;
+  req.keep_waveforms = true;
   const BatchOptions opt = fast_options();
   const Outcome<Response> outcome = engine_->model(req, opt);
   ASSERT_TRUE(outcome.ok());
   const Response& r = outcome.value();
   ASSERT_TRUE(r.has_reference);
 
-  // The same scenario through the core harness, with the same library, must
-  // produce bitwise-identical metrics (this is what keeps the rebased
-  // benches' numbers unchanged).
-  core::ExperimentCase scenario;
-  scenario.driver_size = req.cell_size;
-  scenario.input_slew = req.input_slew;
-  scenario.group = net::CoupledGroup::single(req.net);
-  core::ExperimentOptions eopt;
-  eopt.deck = opt.deck;
-  eopt.grid = opt.grid;
-  eopt.include_far_end = true;
-  eopt.include_one_ramp = true;
-  const core::ExperimentResult direct = core::run_experiment(
-      engine_->technology(), engine_->library(), scenario, eopt);
+  // The model next to the simulation is Tier B's: the force_ceff +
+  // far_end_replay twin serves the same model, near end, pushout and far-end
+  // replay bit for bit (this is what keeps the rebased benches' numbers
+  // unchanged).
+  Request twin = inductive_request("twin");
+  twin.tier = tier::TierPolicy::force_ceff;
+  twin.far_end_replay = true;
+  twin.keep_waveforms = true;
+  const Outcome<Response> served = engine_->model(twin, opt);
+  ASSERT_TRUE(served.ok());
+  const Response& b = served.value();
+  EXPECT_EQ(b.model.kind, r.model.kind);
+  EXPECT_EQ(api_dbits(b.model.t50), api_dbits(r.model.t50));
+  EXPECT_EQ(api_dbits(b.model.ceff1.ceff), api_dbits(r.model.ceff1.ceff));
+  EXPECT_EQ(api_dbits(b.model.ceff2.ceff), api_dbits(r.model.ceff2.ceff));
+  EXPECT_EQ(b.model.waveform.points(), r.model.waveform.points());
+  EXPECT_EQ(api_dbits(b.model_near.delay), api_dbits(r.model_near.delay));
+  EXPECT_EQ(api_dbits(b.model_near.slew), api_dbits(r.model_near.slew));
+  EXPECT_EQ(api_dbits(b.delay_pushout_model), api_dbits(r.delay_pushout_model));
+  ASSERT_TRUE(r.has_model_far);
+  ASSERT_TRUE(b.has_model_far);
+  EXPECT_EQ(api_dbits(b.model_far.delay), api_dbits(r.model_far.delay));
+  EXPECT_EQ(api_dbits(b.model_far.slew), api_dbits(r.model_far.slew));
+  expect_wave_bitwise(b.model_far_wave, r.model_far_wave);
+  EXPECT_EQ(api_dbits(b.input_time_50), api_dbits(r.input_time_50));
 
-  EXPECT_EQ(direct.ref_near.delay, r.ref_near.delay);
-  EXPECT_EQ(direct.ref_near.slew, r.ref_near.slew);
-  EXPECT_EQ(direct.ref_far.delay, r.ref_far.delay);
-  EXPECT_EQ(direct.model_near.delay, r.model_near.delay);
-  EXPECT_EQ(direct.model_far.delay, r.model_far.delay);
-  EXPECT_EQ(direct.one_near.delay, r.one_near.delay);
-  EXPECT_EQ(direct.input_time_50, r.input_time_50);
+  // The one-ramp column is the paper's pure single ramp: force_one_ramp
+  // with the shielding tail off, on the same net and driver.
+  const charlib::CharacterizedDriver* driver = engine_->library().find(req.cell_size);
+  ASSERT_NE(nullptr, driver);
+  core::DriverModelOptions one = req.model;
+  one.selection = core::ModelSelection::force_one_ramp;
+  one.shielding_tail = false;
+  const core::DriverOutputModel direct =
+      core::model_driver_output(*driver, req.input_slew, req.net, one);
+  EXPECT_EQ(core::ModelKind::one_ramp, r.one_ramp.kind);
+  EXPECT_EQ(api_dbits(direct.t50), api_dbits(r.one_ramp.t50));
+  EXPECT_EQ(direct.waveform.points(), r.one_ramp.waveform.points());
+  EXPECT_NEAR(r.one_ramp.t50, r.one_near.delay, 1e-15);
 }
 
 TEST_F(EngineFixture, BatchIsolatesNonConvergentSlot) {
@@ -657,16 +685,6 @@ TEST_F(EngineFixture, LintScreenRejectsPerSlotAndNeverDegrades) {
 }
 
 // ---- far_end_replay + scenario batching ---------------------------------
-
-std::uint64_t api_dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-void expect_wave_bitwise(const wave::Waveform& a, const wave::Waveform& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(api_dbits(a.time(i)), api_dbits(b.time(i))) << "t[" << i << "]";
-    ASSERT_EQ(api_dbits(a.value(i)), api_dbits(b.value(i))) << "v[" << i << "]";
-  }
-}
 
 Request replay_request(std::string label, double input_slew) {
   Request r = inductive_request(std::move(label));

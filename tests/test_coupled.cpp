@@ -11,8 +11,10 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/engine.h"
 #include "charlib/library.h"
 #include "circuit/builders.h"
 #include "circuit/mna.h"
@@ -425,12 +427,11 @@ TEST(DenseFallback, NarrowDeckMatchesBandedWithin1e10) {
   }
 }
 
-TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
-  // An all-to-all coupled bus: every pair of nets shares a coupling cap, so
-  // the MNA bandwidth grows with the bus width and outruns the banded
-  // threshold even after RCM.
+// An all-to-all coupled bus: every pair of nets shares a coupling cap, so
+// the MNA bandwidth grows with the bus width and outruns the banded
+// threshold even after RCM.
+CoupledGroup all_to_all_bus(std::size_t n_nets) {
   CoupledGroup bus;
-  const std::size_t n_nets = 12;
   for (std::size_t k = 0; k < n_nets; ++k) {
     bus.add_net(Net::uniform_line(40.0, 0.8 * nh, 150 * ff, 10 * ff),
                 "bit" + std::to_string(k));
@@ -440,6 +441,12 @@ TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
       bus.couple_capacitance({i, 0}, {j, 0}, 8 * ff);
     }
   }
+  return bus;
+}
+
+TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
+  const std::size_t n_nets = 12;
+  const CoupledGroup bus = all_to_all_bus(n_nets);
 
   ckt::Netlist nl;
   std::vector<ckt::NodeId> froms;
@@ -475,37 +482,46 @@ TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
   EXPECT_GT(peak, 1e-3);
 }
 
-// ---- the coupled experiment harness ---------------------------------------
+// ---- coupled reference slots ----------------------------------------------
 
 class CoupledExperimentFixture : public ::testing::Test {
 protected:
-  static core::ExperimentOptions fast_options() {
-    core::ExperimentOptions opt;
+  static api::BatchOptions fast_options() {
+    api::BatchOptions opt;
     opt.deck.segments = 10;
     opt.deck.dt = 2 * ps;
     opt.grid = small_grid();
-    opt.include_one_ramp = false;
     return opt;
   }
 
-  static charlib::CellLibrary& library() {
-    static charlib::CellLibrary lib;
-    return lib;
+  static api::Engine& engine() {
+    static api::Engine engine;
+    return engine;
+  }
+
+  // A reference slot on net 0 of `group`, driven by a 75X cell.
+  static api::Request reference_request(std::string label, CoupledGroup group) {
+    api::Request r;
+    r.label = std::move(label);
+    r.group = std::move(group);
+    r.cell_size = 75.0;
+    r.input_slew = 100 * ps;
+    r.reference = true;
+    return r;
+  }
+
+  static api::Response run(const api::Request& request,
+                           const api::BatchOptions& options = fast_options()) {
+    api::Outcome<api::Response> outcome = engine().model(request, options);
+    EXPECT_TRUE(outcome.ok()) << (outcome.ok() ? "" : outcome.error().message);
+    return outcome.ok() ? std::move(outcome).value() : api::Response{};
   }
 };
 
 TEST_F(CoupledExperimentFixture, OneNetGroupHasNoEnvironment) {
-  const tech::Technology technology = tech::Technology::cmos180();
-
-  core::ExperimentCase scenario;
-  scenario.label = "single";
-  scenario.group = CoupledGroup::single(short_line());
-  scenario.driver_size = 75.0;
-  scenario.input_slew = 100 * ps;
-  core::ExperimentOptions opt = fast_options();
-  opt.keep_waveforms = true;
-  const core::ExperimentResult r =
-      core::run_experiment(technology, library(), scenario, opt);
+  api::Request request = reference_request("single", CoupledGroup::single(short_line()));
+  request.keep_waveforms = true;
+  const api::Response r = run(request);
 
   // The quiet baseline of a lone net is its reference deck, bit for bit, and
   // with no neighbors pushout and noise are exactly zero.
@@ -515,40 +531,73 @@ TEST_F(CoupledExperimentFixture, OneNetGroupHasNoEnvironment) {
   EXPECT_EQ(0.0, r.delay_pushout);
   EXPECT_EQ(0.0, r.delay_pushout_model);
   EXPECT_EQ(0.0, r.peak_noise);
-  EXPECT_TRUE(r.noise_wave.empty());
   EXPECT_FALSE(r.model_far_wave.empty());
   EXPECT_GT(r.ref_far.delay, r.ref_near.delay);
+
+  // The harness simulates no noise view for it at all.
+  core::ExperimentCase scenario;
+  scenario.group = CoupledGroup::single(short_line());
+  scenario.input_slew = 100 * ps;
+  core::ExperimentOptions opt;
+  opt.deck = fast_options().deck;
+  opt.keep_waveforms = true;
+  EXPECT_TRUE(core::simulate_reference(engine().technology(), scenario, opt)
+                  .noise_wave.empty());
 }
 
 TEST_F(CoupledExperimentFixture, OppositeAggressorPushesOutDelayAndInjectsNoise) {
-  const tech::Technology technology = tech::Technology::cmos180();
-
-  core::ExperimentCase scenario;
-  scenario.label = "pair";
-  scenario.group = two_lines(120 * ff);
-  scenario.victim = 0;
-  scenario.driver_size = 75.0;
-  scenario.input_slew = 100 * ps;
-  scenario.aggressors.assign(2, {75.0, 100 * ps, core::AggressorSwitching::opposite});
-
-  const core::ExperimentResult r =
-      core::run_experiment(technology, library(), scenario, fast_options());
+  const double vdd = engine().technology().vdd;
+  api::Request request = reference_request("pair", two_lines(120 * ff));
+  request.aggressors = {{1, 75.0, 100 * ps, core::AggressorSwitching::opposite}};
+  const api::Response r = run(request);
 
   // An opposite-switching neighbor slows the victim and bumps it when quiet.
   EXPECT_GT(r.delay_pushout, 0.0);
   EXPECT_GT(r.delay_pushout_model, 0.0);
   EXPECT_GT(r.peak_noise, 1e-3);
-  EXPECT_LT(r.peak_noise, technology.vdd);
+  EXPECT_LT(r.peak_noise, vdd);
   // The Miller model must track the coupled simulation at the far end.
   EXPECT_LT(std::abs(core::pct_error(r.model_far.delay, r.ref_far.delay)), 15.0);
 
   // A same-direction neighbor speeds the victim up instead.
-  scenario.aggressors.assign(
-      2, {75.0, 100 * ps, core::AggressorSwitching::same_direction});
-  const core::ExperimentResult helped =
-      core::run_experiment(technology, library(), scenario, fast_options());
+  request.aggressors[0].switching = core::AggressorSwitching::same_direction;
+  const api::Response helped = run(request);
   EXPECT_LT(helped.ref_far.delay, r.ref_far.delay);
   EXPECT_LT(helped.delay_pushout, 0.0);
+}
+
+TEST_F(CoupledExperimentFixture, ReferenceSlotReportsItsReferenceBackend) {
+  // The wide bus's coupled deck is too wide for the banded solver, while the
+  // far-end replay runs through the victim's decoupled line alone, a banded
+  // deck.  The reference slot replays too, but its solver is the reference
+  // deck's.
+  api::BatchOptions options = fast_options();
+  options.deck.segments = 2;
+  api::Request request = reference_request("bus", all_to_all_bus(12));
+  request.noise = false;
+  const api::Response reference = run(request, options);
+  ASSERT_TRUE(reference.has_model_far);
+  EXPECT_TRUE(reference.has_solver);
+
+  core::ExperimentCase scenario;
+  scenario.group = request.group;
+  scenario.driver_size = request.cell_size;
+  scenario.input_slew = request.input_slew;
+  core::ExperimentOptions opt;
+  opt.deck = options.deck;
+  opt.include_noise = false;
+  const sim::SolverKind deck_solver =
+      core::simulate_reference(engine().technology(), scenario, opt).solver;
+  EXPECT_NE(sim::SolverKind::banded, deck_solver);
+  EXPECT_EQ(deck_solver, reference.solver);
+
+  api::Request replay = request;
+  replay.reference = false;
+  replay.tier = tier::TierPolicy::force_ceff;
+  replay.far_end_replay = true;
+  const api::Response model_only = run(replay, options);
+  ASSERT_TRUE(model_only.has_model_far);
+  EXPECT_EQ(sim::SolverKind::banded, model_only.solver);
 }
 
 }  // namespace

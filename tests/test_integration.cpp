@@ -1,16 +1,17 @@
-// End-to-end integration tests: the full experiment harness against the
-// simulator on representative paper cases, asserting the paper's headline
-// error structure (two-ramp accurate; one-ramp badly wrong on inductive
-// lines; both fine on RC-like lines).
+// End-to-end integration tests: reference slots of the engine (the paper's
+// model next to the simulator) on representative paper cases, asserting the
+// paper's headline error structure (two-ramp accurate; one-ramp badly wrong
+// on inductive lines; both fine on RC-like lines).
 //
 // Fidelity is reduced (fewer ladder segments, coarser dt, small
 // characterization grid) to keep the suite fast; the bench binaries rerun
 // the same scenarios at full fidelity.
-#include "core/experiment.h"
+#include "api/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "test_helpers.h"
 #include "util/units.h"
@@ -22,19 +23,14 @@ using namespace rlceff::units;
 
 class IntegrationFixture : public ::testing::Test {
 protected:
-  static void SetUpTestSuite() {
-    technology_ = new tech::Technology(tech::Technology::cmos180());
-    library_ = new charlib::CellLibrary();
-  }
+  static void SetUpTestSuite() { engine_ = new api::Engine(tech::Technology::cmos180()); }
   static void TearDownTestSuite() {
-    delete library_;
-    delete technology_;
-    library_ = nullptr;
-    technology_ = nullptr;
+    delete engine_;
+    engine_ = nullptr;
   }
 
-  static ExperimentOptions fast_options() {
-    ExperimentOptions opt;
+  static api::BatchOptions fast_options() {
+    api::BatchOptions opt;
     opt.deck.segments = 60;
     opt.deck.dt = 0.5 * ps;
     opt.grid.input_slews = {50 * ps, 100 * ps, 200 * ps};
@@ -42,27 +38,35 @@ protected:
     return opt;
   }
 
-  static tech::Technology* technology_;
-  static charlib::CellLibrary* library_;
+  // A reference slot with the one-ramp column on a paper wire case (length
+  // mm, width um) with the 20 fF receiver.
+  static api::Request paper_case(double driver_size, double input_slew,
+                                 double length_mm, double width_um) {
+    api::Request r;
+    r.cell_size = driver_size;
+    r.input_slew = input_slew;
+    r.net = tech::line_net(*tech::find_paper_wire_case(length_mm, width_um), 20 * ff);
+    r.reference = true;
+    r.one_ramp_baseline = true;
+    return r;
+  }
+
+  static api::Response run(const api::Request& request) {
+    api::Outcome<api::Response> outcome = engine_->model(request, fast_options());
+    EXPECT_TRUE(outcome.ok()) << (outcome.ok() ? "" : outcome.error().message);
+    return outcome.ok() ? std::move(outcome).value() : api::Response{};
+  }
+
+  static const tech::Technology& technology() { return engine_->technology(); }
+
+  static api::Engine* engine_;
 };
 
-// A paper wire case (length mm, width um) with the 20 fF receiver, as the
-// harness's one-net group.
-net::CoupledGroup paper_line(double length_mm, double width_um) {
-  return net::CoupledGroup::single(
-      tech::line_net(*tech::find_paper_wire_case(length_mm, width_um), 20 * ff));
-}
-
-tech::Technology* IntegrationFixture::technology_ = nullptr;
-charlib::CellLibrary* IntegrationFixture::library_ = nullptr;
+api::Engine* IntegrationFixture::engine_ = nullptr;
 
 TEST_F(IntegrationFixture, InductiveCaseTwoRampBeatsOneRamp) {
   // Table 1 row "5/1.6, 100X, slew 100".
-  ExperimentCase c;
-  c.driver_size = 100.0;
-  c.input_slew = 100 * ps;
-  c.group = paper_line(5.0, 1.6);
-  const ExperimentResult r = run_experiment(*technology_, *library_, c, fast_options());
+  const api::Response r = run(paper_case(100.0, 100 * ps, 5.0, 1.6));
 
   ASSERT_EQ(ModelKind::two_ramp, r.model.kind);
   // Two-ramp delay within 10 % of "HSPICE" (paper: -4.7 % on this row).
@@ -76,22 +80,14 @@ TEST_F(IntegrationFixture, InductiveCaseTwoRampBeatsOneRamp) {
 }
 
 TEST_F(IntegrationFixture, FarEndReplayTracksReference) {
-  ExperimentCase c;
-  c.driver_size = 100.0;
-  c.input_slew = 100 * ps;
-  c.group = paper_line(5.0, 1.6);
-  const ExperimentResult r = run_experiment(*technology_, *library_, c, fast_options());
+  const api::Response r = run(paper_case(100.0, 100 * ps, 5.0, 1.6));
   // Fig 6 right: the two-ramp source reproduces the far-end delay closely.
   EXPECT_LT(std::abs(pct_error(r.model_far.delay, r.ref_far.delay)), 10.0);
 }
 
 TEST_F(IntegrationFixture, RcLikeCaseUsesOneRampAndIsAccurate) {
   // Fig 6 left: 4 mm line, weak 25X driver -> single ramp suffices.
-  ExperimentCase c;
-  c.driver_size = 25.0;
-  c.input_slew = 100 * ps;
-  c.group = paper_line(4.0, 1.6);
-  const ExperimentResult r = run_experiment(*technology_, *library_, c, fast_options());
+  const api::Response r = run(paper_case(25.0, 100 * ps, 4.0, 1.6));
 
   EXPECT_EQ(ModelKind::one_ramp, r.model.kind);
   EXPECT_FALSE(r.model.criteria.significant());
@@ -104,16 +100,8 @@ TEST_F(IntegrationFixture, RcLikeCaseUsesOneRampAndIsAccurate) {
 TEST_F(IntegrationFixture, WideLineIncreasesOneRampError) {
   // Table 1's trend: at fixed length/driver, wider wire -> more inductive ->
   // bigger one-ramp delay error.
-  ExperimentOptions opt = fast_options();
-  ExperimentCase narrow;
-  narrow.driver_size = 75.0;
-  narrow.input_slew = 50 * ps;
-  narrow.group = paper_line(3.0, 0.8);
-  ExperimentCase wide = narrow;
-  wide.group = paper_line(3.0, 1.6);
-
-  const ExperimentResult rn = run_experiment(*technology_, *library_, narrow, opt);
-  const ExperimentResult rw = run_experiment(*technology_, *library_, wide, opt);
+  const api::Response rn = run(paper_case(75.0, 50 * ps, 3.0, 0.8));
+  const api::Response rw = run(paper_case(75.0, 50 * ps, 3.0, 1.6));
   const double err_narrow = std::abs(pct_error(rn.one_near.delay, rn.ref_near.delay));
   const double err_wide = std::abs(pct_error(rw.one_near.delay, rw.ref_near.delay));
   EXPECT_GT(err_wide, err_narrow);
@@ -123,29 +111,22 @@ TEST_F(IntegrationFixture, ModeledBreakpointMatchesSimulatedPlateau) {
   // The Eq-1 breakpoint should sit near the simulated waveform's voltage at
   // the moment the first reflection returns (2 tf after launch).
   const tech::WireParasitics wire = *tech::find_paper_wire_case(5.0, 1.6);
-  ExperimentCase c;
-  c.driver_size = 100.0;
-  c.input_slew = 100 * ps;
-  c.group = net::CoupledGroup::single(tech::line_net(wire, 20 * ff));
-  ExperimentOptions opt = fast_options();
-  opt.keep_waveforms = true;
-  const ExperimentResult r = run_experiment(*technology_, *library_, c, opt);
+  api::Request c = paper_case(100.0, 100 * ps, 5.0, 1.6);
+  c.keep_waveforms = true;
+  const api::Response r = run(c);
 
-  const auto launch = r.ref_near_wave.first_crossing(0.1 * technology_->vdd, true);
+  const double vdd = technology().vdd;
+  const auto launch = r.ref_near_wave.first_crossing(0.1 * vdd, true);
   ASSERT_TRUE(launch.has_value());
   const double v_plateau =
       r.ref_near_wave.value_at(*launch + 2.0 * wire.time_of_flight());
-  EXPECT_NEAR(r.model.f * technology_->vdd, v_plateau, 0.25 * technology_->vdd);
+  EXPECT_NEAR(r.model.f * vdd, v_plateau, 0.25 * vdd);
 }
 
 TEST_F(IntegrationFixture, KeepWaveformsPopulatesTraces) {
-  ExperimentCase c;
-  c.driver_size = 100.0;
-  c.input_slew = 100 * ps;
-  c.group = paper_line(3.0, 1.2);
-  ExperimentOptions opt = fast_options();
-  opt.keep_waveforms = true;
-  const ExperimentResult r = run_experiment(*technology_, *library_, c, opt);
+  api::Request c = paper_case(100.0, 100 * ps, 3.0, 1.2);
+  c.keep_waveforms = true;
+  const api::Response r = run(c);
   EXPECT_FALSE(r.ref_near_wave.empty());
   EXPECT_FALSE(r.ref_far_wave.empty());
   EXPECT_FALSE(r.model_far_wave.empty());

@@ -1,6 +1,6 @@
 // Tests for the net::Net interconnect IR: construction-time validation, the
 // deck compiler's equivalence with the legacy ladder/tree decks, moment
-// equivalence, dominant-path metrics, and the experiment harness running a
+// equivalence, dominant-path metrics, and an engine reference slot running a
 // heterogeneous (multi-section) topology end to end.
 #include "net/net.h"
 
@@ -11,6 +11,7 @@
 #include <functional>
 #include <string>
 
+#include "api/engine.h"
 #include "circuit/builders.h"
 #include "core/experiment.h"
 #include "moments/admittance.h"
@@ -375,31 +376,32 @@ TEST(NetDeck, NamedProbesResolveAndUnknownThrows) {
   EXPECT_THROW((void)r.probe("nonexistent"), Error);
 }
 
-// ---- experiment harness on a heterogeneous topology ----------------------
+// ---- reference slot on a heterogeneous topology --------------------------
 
 TEST(NetExperiment, MultiSectionRouteRunsEndToEnd) {
-  const tech::Technology technology = tech::Technology::cmos180();
   const tech::WireModel wires;
   const std::array<tech::WireGeometry, 3> route{{{1.0 * mm, 2.4 * um},
                                                  {1.0 * mm, 1.6 * um},
                                                  {1.0 * mm, 0.8 * um}}};
 
-  core::ExperimentCase c;
-  c.driver_size = 75.0;
+  api::Request c;
+  c.cell_size = 75.0;
   c.input_slew = 100 * ps;
-  c.group = CoupledGroup::single(tech::route_net(wires, route, 20 * ff));
+  c.net = tech::route_net(wires, route, 20 * ff);
+  c.reference = true;
 
-  core::ExperimentOptions opt;
+  api::BatchOptions opt;
   opt.deck.segments = 30;
   opt.deck.dt = 1 * ps;
   opt.grid.input_slews = {50 * ps, 100 * ps, 200 * ps};
   opt.grid.loads = {50 * ff, 200 * ff, 500 * ff, 1 * pf, 2 * pf};
-  opt.include_one_ramp = false;
 
-  charlib::CellLibrary library;
-  const core::ExperimentResult r = core::run_experiment(technology, library, c, opt);
+  api::Engine engine(tech::Technology::cmos180());
+  const api::Outcome<api::Response> outcome = engine.model(c, opt);
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  const api::Response& r = outcome.value();
 
-  // The harness must produce coherent timing: the far end lags the near end,
+  // The slot must produce coherent timing: the far end lags the near end,
   // and the model tracks the simulated reference on this mildly non-uniform
   // route.
   EXPECT_GT(r.ref_far.delay, r.ref_near.delay);

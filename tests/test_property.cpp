@@ -637,8 +637,7 @@ TEST(PropertySuite, MillerEnvelope) {
           if (trimmed.members.size() > 2) trimmed.members.resize(2);
           OracleOptions options;
           options.segments = 6;
-          check_miller_envelope(shared_engine().technology(),
-                                shared_engine().library(), trimmed, rng, options);
+          check_miller_envelope(shared_engine(), trimmed, rng, options);
         });
   });
 }
