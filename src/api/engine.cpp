@@ -46,6 +46,19 @@ struct Rung {
   }
 };
 
+// The replay deck a far-end replay runs through its flow net: the modeled
+// PWL shifted into absolute deck time (the model's t = 0 is the input 50 %
+// crossing, analytically t_start + slew/2 for a saturated ramp input, as in
+// the reference deck), a horizon auto-sized like the reference harness, and
+// the dominant-path leaf to measure.  A Tier-C slot swaps in its reference
+// deck's horizon and sink.
+struct ReplayPlan {
+  wave::Pwl source;
+  tech::DeckOptions deck;
+  std::size_t dominant_leaf = 0;
+  double input_time_50 = 0.0;
+};
+
 // One deferred far-end replay: everything needed to compile and run the
 // replay transient after its slot's model already answered.  The job owns a
 // copy of the net (a coupled victim's flow net is a temporary) and shares
@@ -55,10 +68,7 @@ struct ReplayJob {
   std::size_t slot = 0;
   std::string label;
   net::Net net;
-  wave::Pwl source;             // modeled PWL in absolute deck time
-  tech::DeckOptions deck;       // t_stop sized; sim.solver set; budget unset
-  std::size_t dominant_leaf = 0;
-  double input_time_50 = 0.0;
+  ReplayPlan plan;  // its deck has t_stop sized, sim.solver set, budget unset
   bool keep_waveforms = false;
   std::shared_ptr<util::ExecTracker> tracker;
 };
@@ -294,19 +304,6 @@ std::optional<core::DriverOutputModel> model_flow(const FlowNets& nets, double v
   return base;
 }
 
-// The replay deck a far-end replay runs through its flow net: the modeled
-// PWL shifted into absolute deck time (the model's t = 0 is the input 50 %
-// crossing, analytically t_start + slew/2 for a saturated ramp input, as in
-// the reference deck), a horizon auto-sized like the reference harness, and
-// the dominant-path leaf to measure.  A Tier-C slot swaps in its reference
-// deck's horizon and sink.
-struct ReplayPlan {
-  wave::Pwl source;
-  tech::DeckOptions deck;
-  std::size_t dominant_leaf = 0;
-  double input_time_50 = 0.0;
-};
-
 ReplayPlan plan_far_end_replay(const Request& request, const net::Net& net,
                                const tech::DeckOptions& deck,
                                const core::DriverOutputModel& model) {
@@ -437,12 +434,9 @@ Response Engine::ceff_rung(const Request& request, const BatchOptions& options,
     if (deferred != nullptr) {
       ReplayJob& job = deferred->emplace();
       job.net = nets.net();
-      job.source = std::move(plan.source);
-      job.deck = plan.deck;
-      job.dominant_leaf = plan.dominant_leaf;
-      job.input_time_50 = plan.input_time_50;
-      job.keep_waveforms = request.keep_waveforms;
       response.input_time_50 = plan.input_time_50;
+      job.plan = std::move(plan);
+      job.keep_waveforms = request.keep_waveforms;
     } else {
       run_replay_inline(technology_, request, nets.net(), plan, rung.deck.sim.budget,
                         response);
@@ -679,11 +673,8 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
   // characterization grid just to hit the same exception again.
   std::vector<double> sizes;
   for (const Request& r : requests) {
-    if (!positive_finite(r.cell_size)) continue;  // validate() rejects the slot
-    const bool seen = std::any_of(sizes.begin(), sizes.end(), [&](double s) {
-      return std::abs(s - r.cell_size) < 1e-9;
-    });
-    if (!seen) sizes.push_back(r.cell_size);
+    // validate() rejects the slot of a size that is not positive and finite.
+    if (positive_finite(r.cell_size)) sizes.push_back(r.cell_size);
   }
   const std::vector<double> missing = collect_missing(sizes);
   const std::vector<std::exception_ptr> errors = sim::run_indexed_sweep_collect(
@@ -749,9 +740,9 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
       sim::run_indexed_sweep_collect(
           jobs.size(),
           [&](std::size_t i) {
-            decks[i] = tech::compile_source_net(jobs[i].source, jobs[i].net,
-                                                jobs[i].deck);
-            sim_opts[i] = tech::sim_options(jobs[i].deck);
+            decks[i] = tech::compile_source_net(jobs[i].plan.source, jobs[i].net,
+                                                jobs[i].plan.deck);
+            sim_opts[i] = tech::sim_options(jobs[i].plan.deck);
             sim_opts[i].budget = nullptr;  // per-lane trackers instead
           },
           options.n_threads);
@@ -799,7 +790,7 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
     std::vector<sim::BlockScenario> lanes;
     lanes.reserve(members.size());
     for (std::size_t i : members) {
-      lanes.push_back({&decks[i].netlist, jobs[i].deck.t_stop, jobs[i].tracker.get()});
+      lanes.push_back({&decks[i].netlist, jobs[i].plan.deck.t_stop, jobs[i].tracker.get()});
     }
     std::vector<sim::BlockOutcome> outcomes;
     try {
@@ -810,7 +801,7 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
         const std::size_t i = members[k];
         try {
           sim::TransientOptions lane_opt = so;
-          lane_opt.t_stop = jobs[i].deck.t_stop;
+          lane_opt.t_stop = jobs[i].plan.deck.t_stop;
           lane_opt.budget = jobs[i].tracker.get();
           outcomes[k].result = sim::simulate(decks[i].netlist, lane_opt, probes);
         } catch (...) {
@@ -833,8 +824,8 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
         continue;
       }
       Response& response = results[job.slot].value();
-      measure_replay(decks[i], *outcomes[k].result, job.dominant_leaf,
-                     job.input_time_50, job.keep_waveforms, technology_.vdd,
+      measure_replay(decks[i], *outcomes[k].result, job.plan.dominant_leaf,
+                     job.plan.input_time_50, job.keep_waveforms, technology_.vdd,
                      response);
       response.elapsed_s += elapsed_share;
     }
@@ -853,12 +844,12 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
 std::vector<double> Engine::collect_missing(std::span<const double> sizes) const {
   std::vector<double> missing;
   for (double size : sizes) {
-    if (library_.find(size) != nullptr) continue;
     const bool seen = std::any_of(missing.begin(), missing.end(), [&](double s) {
       return std::abs(s - size) < 1e-9;
     });
     if (!seen) missing.push_back(size);
   }
+  std::erase_if(missing, [&](double size) { return library_.find(size) != nullptr; });
   return missing;
 }
 

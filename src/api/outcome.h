@@ -30,7 +30,7 @@ enum class ErrorCode {
   internal_error,       // a non-rlceff exception escaped a scenario
   deadline_exceeded,    // wall-clock budget expired or the slot was cancelled
                         // (DeadlineError / CancelledError, util/budget.h)
-  resource_exhausted,   // a step/iteration budget ran out (BudgetError)
+  resource_exhausted,   // the transient step budget ran out (BudgetError)
   lint_rejected,        // the admission screen (Request::lint.screen) found
                         // diagnostics at or above the configured severity;
                         // the slot never reached a solver.  Never degradable.

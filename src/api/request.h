@@ -175,10 +175,10 @@ struct Request {
   sim::SolverKind solver = sim::SolverKind::automatic;
 
   // Cooperative execution budget for this slot (util/budget.h): wall-clock
-  // deadline, transient step budget, iteration sub-budgets, cancellation.
-  // Default: unlimited.  The engine arms it at slot start and threads it
-  // through every step/iteration loop; exhaustion surfaces as
-  // deadline_exceeded / resource_exhausted.  Note: cold cell
+  // deadline, transient step budget, cancellation.  Default: unlimited.
+  // The engine arms it at slot start and threads it through every
+  // step/iteration loop; exhaustion surfaces as deadline_exceeded /
+  // resource_exhausted.  Note: cold cell
   // characterization is not under the slot budget (run_batch/warm_cache
   // pre-characterize outside the slots); the modeling loops are.
   util::ExecBudget budget;

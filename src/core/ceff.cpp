@@ -108,6 +108,9 @@ double ceff_second_ramp_numeric(const ChargeModel& load, double f, double tr1,
 
 namespace {
 
+// Relative agreement of successive Ceff iterates that counts as converged.
+constexpr double kCeffRelTol = 1e-6;
+
 // `upper_ratio` clamps the iterate at upper_ratio * Ctotal.
 CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transition,
                             const std::function<double(double tr)>& ceff_of_tr,
@@ -116,9 +119,8 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
   const double c_total = load.admittance().total_capacitance();
 
   util::FixedPointOptions fp;
-  fp.rel_tol = options.rel_tol;
-  fp.max_iter = util::capped_iterations(
-      options.max_iter, options.budget ? options.budget->spec().max_ceff_iter : 0);
+  fp.rel_tol = kCeffRelTol;
+  fp.max_iter = options.max_iter;
   fp.damping = options.damping;
   fp.budget = options.budget;
   // Keep the table lookup in a sane range.  Note the default upper bound is
@@ -135,10 +137,6 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
         return ceff_of_tr(tr);
       },
       c_total, fp);
-  if (!r.converged && fp.max_iter < options.max_iter) {
-    throw BudgetError("ceff iteration: budget of " + std::to_string(fp.max_iter) +
-                      " iterations exhausted");
-  }
 
   CeffIteration out;
   out.ceff = r.x;

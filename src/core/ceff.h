@@ -58,15 +58,12 @@ struct CeffIteration {
   bool converged = false;
 };
 
-// Iteration ceiling precedence (see util/budget.h): the fixed point runs at
-// most capped_iterations(max_iter, budget->spec().max_ceff_iter,
-// budget->spec().max_solver_iter) iterations, checkpointing the budget each
-// iteration.  A budget-clipped loop that has not converged raises
-// BudgetError; hitting the plain max_iter keeps returning converged = false
-// for the service boundary (api::Engine::check_convergence) to judge.
+// The fixed point stops once successive iterates agree to 1e-6 relative,
+// checkpointing the budget (deadline / cancellation) each iteration.
+// Hitting max_iter returns converged = false for the service boundary
+// (api::Engine::check_convergence) to judge.
 struct CeffIterationOptions {
-  double rel_tol = 1e-6;
-  int max_iter = util::iter_defaults::ceff;
+  int max_iter = 60;
   double damping = 1.0;
   util::ExecTracker* budget = nullptr;  // optional cooperative budget
 };

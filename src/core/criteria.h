@@ -20,11 +20,9 @@
 
 namespace rlceff::core {
 
-struct CriteriaOptions {
-  // "C_L << C*l" threshold: the load must stay below this fraction of the
-  // line capacitance.
-  double load_cap_ratio_max = 0.2;
-};
+// "C_L << C*l" threshold: the load must stay below this fraction of the
+// line capacitance.
+inline constexpr double load_cap_ratio_max = 0.2;
 
 struct InductanceCriteria {
   bool load_small = false;        // C_L << C*l
@@ -40,15 +38,14 @@ struct InductanceCriteria {
 // Evaluates Eq 9 for a uniform line with far-end load c_load, driver
 // resistance rs, and the converged first-ramp time tr1.
 InductanceCriteria evaluate_criteria(const tech::WireParasitics& wire, double c_load,
-                                     double rs, double tr1,
-                                     const CriteriaOptions& options = {});
+                                     double rs, double tr1);
 
 // Explicit form for non-uniform loads (RLC trees): the caller supplies the
 // characteristic impedance and flight time of the dominant path plus the
 // line totals the loss/load screens compare against.
 InductanceCriteria evaluate_criteria(double z0, double tf, double line_resistance,
                                      double line_capacitance, double c_load, double rs,
-                                     double tr1, const CriteriaOptions& options = {});
+                                     double tr1);
 
 }  // namespace rlceff::core
 

@@ -125,7 +125,7 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
   // Step 4: inductance criteria with the output-referred initial ramp.
   m.criteria = evaluate_criteria(m.z0, m.tf, net.line_resistance,
                                  net.line_capacitance, net.c_load, m.rs,
-                                 m.ceff1.ramp_time, options.criteria);
+                                 m.ceff1.ramp_time);
 
   const bool two_ramp = options.selection == ModelSelection::force_two_ramp ||
                         (options.selection == ModelSelection::automatic &&

@@ -45,7 +45,6 @@ enum class ModelSelection {
 struct DriverModelOptions {
   PlateauHandling plateau = PlateauHandling::modified_second_ramp;
   ModelSelection selection = ModelSelection::automatic;
-  CriteriaOptions criteria;
   CeffIterationOptions iteration;
   // Sec. 5: Rs is extracted at the total capacitance; the ablation flips
   // this to re-extract at the converged Ceff1.

@@ -47,15 +47,15 @@ enum class Code {
   negative_load,           // receiver load < 0 or non-finite
   no_capacitance,          // net carries no charge storage anywhere
   mutual_overcoupled,      // |M| >= sqrt(La*Lb): k accumulates to >= 1
-  mutual_near_limit,       // k within the configured margin of 1
+  mutual_near_limit,       // k within 0.05 of 1
   coupling_dominates_ground,  // coupling C dwarfs a section's ground C
   // conditioning — the compiled system will be expensive or fragile
   solver_advisory,        // predicted unknowns/bandwidth/nnz + backend choice
-  extreme_stiffness,      // RC time constants spread past the warn ratio
+  extreme_stiffness,      // RC time constants spread past 1e8
   extreme_dynamic_range,  // element values spread past pivot-threshold comfort
   // model — the paper's Ceff regime assumptions
-  inductance_screened,     // Eq 9: all criteria hold, RC modeling suffices
-  inductance_significant,  // Eq 9: some criterion fails, RLC model required
+  inductance_screened,     // Eq 9: some criterion fails, RC modeling suffices
+  inductance_significant,  // Eq 9: all criteria hold, RLC model required
   moment_mismatch,         // driving-point m1 disagrees with total capacitance
   miller_unsafe,           // coupling too large for Miller decoupling
   convergence_risk,        // an Eq 9 ratio sits within margin of its boundary

@@ -14,6 +14,7 @@
 #include "circuit/mna.h"
 #include "circuit/mosfet.h"
 #include "circuit/netlist.h"
+#include "core/criteria.h"
 #include "moments/admittance.h"
 #include "sim/transient.h"
 #include "tech/technology.h"
@@ -63,6 +64,13 @@ void collect_loads(const net::Branch& branch, std::vector<double>& out) {
 
 // ---------------------------------------------------------- conditioning ---
 
+// Discretization of the advisory deck (tech::DeckOptions default).
+constexpr std::size_t kAdvisorySegments = 120;
+// Warn thresholds: max/min section RC time-constant ratio, and max/min
+// per-unit element-value ratio.
+constexpr double kStiffnessWarn = 1e8;
+constexpr double kDynamicRangeWarn = 1e9;
+
 // max/min ratio over the positive values of one element quantity.
 double value_range(const std::vector<double>& values) {
   double lo = std::numeric_limits<double>::infinity();
@@ -76,7 +84,7 @@ double value_range(const std::vector<double>& values) {
 }
 
 void check_value_spread(const std::vector<net::Section>& sections,
-                        const std::vector<double>& loads, const Options& options,
+                        const std::vector<double>& loads,
                         std::vector<Diagnostic>& out) {
   // Stiffness: the spread of per-section RC time constants bounds the spread
   // of eigenvalues a fixed-step integrator must straddle.
@@ -87,11 +95,11 @@ void check_value_spread(const std::vector<net::Section>& sections,
     }
   }
   const double stiffness = value_range(taus);
-  if (stiffness > options.stiffness_warn) {
+  if (stiffness > kStiffnessWarn) {
     out.push_back(make_diagnostic(
         Code::extreme_stiffness, "",
         "section RC time constants span a " + fmt(stiffness) +
-            "x ratio (warn threshold " + fmt(options.stiffness_warn) + "x)",
+            "x ratio (warn threshold " + fmt(kStiffnessWarn) + "x)",
         "a fixed step resolving the fastest section crawls through the "
         "slowest; consider splitting the net or relaxing the step"));
   }
@@ -107,11 +115,11 @@ void check_value_spread(const std::vector<net::Section>& sections,
   cs.insert(cs.end(), loads.begin(), loads.end());
   const double spread =
       std::max({value_range(rs), value_range(ls), value_range(cs)});
-  if (spread > options.dynamic_range_warn) {
+  if (spread > kDynamicRangeWarn) {
     out.push_back(make_diagnostic(
         Code::extreme_dynamic_range, "",
         "element values span a " + fmt(spread) + "x ratio (warn threshold " +
-            fmt(options.dynamic_range_warn) + "x)",
+            fmt(kDynamicRangeWarn) + "x)",
         "values this far apart risk pivot-threshold trouble in the LU; check "
         "the extraction for unit mistakes"));
   }
@@ -129,15 +137,17 @@ void advisory_for(const ckt::Netlist& netlist, std::vector<Diagnostic>& out) {
           " pattern nonzeros -> " + sim::to_string(kind) + " solver"));
 }
 
-void check_net_conditioning(const net::Net& net, const Options& options,
-                            std::vector<Diagnostic>& out) {
+void check_net_conditioning(const net::Net& net, std::vector<Diagnostic>& out) {
   ckt::Netlist netlist;
   const ckt::NodeId in = netlist.node("in");
-  (void)ckt::append_net(netlist, in, net, options.segments);
+  (void)ckt::append_net(netlist, in, net, kAdvisorySegments);
   advisory_for(netlist, out);
 }
 
 // ----------------------------------------------------------------- model ---
+
+// Convergence-risk band around the Eq 9 boundaries (relative).
+constexpr double kRegimeMargin = 0.10;
 
 struct RegimeRatio {
   const char* name;
@@ -180,7 +190,7 @@ void check_net_model(const net::Net& net, const Options& options,
   const double tr1 = options.input_slew;  // static proxy for the first ramp
   const core::InductanceCriteria criteria = core::evaluate_criteria(
       metrics.z0, metrics.time_of_flight, metrics.path_resistance,
-      metrics.wire_capacitance, metrics.path_load, rs, tr1, options.criteria);
+      metrics.wire_capacitance, metrics.path_load, rs, tr1);
 
   if (criteria.significant()) {
     out.push_back(make_diagnostic(
@@ -208,7 +218,7 @@ void check_net_model(const net::Net& net, const Options& options,
       {"load/line-capacitance",
        metrics.wire_capacitance > 0.0
            ? metrics.path_load /
-                 (options.criteria.load_cap_ratio_max * metrics.wire_capacitance)
+                 (core::load_cap_ratio_max * metrics.wire_capacitance)
            : 0.0},
       {"loss/2Z0", metrics.path_resistance / (2.0 * metrics.z0)},
       {"Rs/Z0", rs / metrics.z0},
@@ -216,7 +226,7 @@ void check_net_model(const net::Net& net, const Options& options,
   };
   std::string risky;
   for (const RegimeRatio& r : ratios) {
-    if (std::abs(r.ratio - 1.0) <= options.regime_margin) {
+    if (std::abs(r.ratio - 1.0) <= kRegimeMargin) {
       risky += std::string(risky.empty() ? "" : ", ") + r.name + " = " +
                fmt(r.ratio);
     }
@@ -224,7 +234,7 @@ void check_net_model(const net::Net& net, const Options& options,
   if (!risky.empty()) {
     out.push_back(make_diagnostic(
         Code::convergence_risk, "",
-        "within " + fmt(100.0 * options.regime_margin) +
+        "within " + fmt(100.0 * kRegimeMargin) +
             "% of an Eq 9 regime boundary (" + risky +
             "); the Ceff fixed point may converge slowly",
         "expect extra iterations or pin the model with force_one_ramp/"
@@ -263,6 +273,16 @@ void check_net_tier(const net::Net& net, const Options& options,
         "let TierPolicy::balanced escalate, or pin tier B (force_ceff)"));
   }
 }
+
+// ----------------------------------------------------------------- group ---
+
+// Warn when accumulated k > 1 - margin.
+constexpr double kMutualMargin = 0.05;
+// Warn when a section's attached coupling C exceeds this multiple of its
+// ground C.
+constexpr double kCouplingRatioWarn = 1.0;
+// Coupling / total capacitance bound for Miller decoupling.
+constexpr double kMillerCouplingRatio = 0.5;
 
 bool has_error(const std::vector<Diagnostic>& diagnostics) {
   return std::any_of(diagnostics.begin(), diagnostics.end(), [](const Diagnostic& d) {
@@ -317,8 +337,8 @@ Report lint_net(const net::Net& net, const Options& options) {
     std::vector<double> loads;
     collect_sections(net.root(), sections);
     collect_loads(net.root(), loads);
-    check_value_spread(sections, loads, options, report.diagnostics);
-    check_net_conditioning(net, options, report.diagnostics);
+    check_value_spread(sections, loads, report.diagnostics);
+    check_net_conditioning(net, report.diagnostics);
   }
   if (options.model) {
     check_net_model(net, options, report.diagnostics);
@@ -392,11 +412,11 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
           "accumulates to coupling coefficient " + fmt(total) +
               " >= 1 (non-passive)",
           "|M| must stay below sqrt(La*Lb); reduce k or split the span"));
-    } else if (total > 1.0 - options.mutual_margin) {
+    } else if (total > 1.0 - kMutualMargin) {
       report.diagnostics.push_back(make_diagnostic(
           Code::mutual_near_limit, pair_name(a, b),
           "accumulates to coupling coefficient " + fmt(total) + ", within " +
-              fmt(options.mutual_margin) + " of the passivity limit 1",
+              fmt(kMutualMargin) + " of the passivity limit 1",
           "near-singular inductance matrices condition poorly; re-check the "
           "extracted k"));
     }
@@ -423,7 +443,7 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
     for (std::size_t s = 0; s < coupling_on[n].size(); ++s) {
       const double ground = section_caps[n][s];
       const double coupled = coupling_on[n][s];
-      if (ground > 0.0 && coupled > options.coupling_ratio_warn * ground) {
+      if (ground > 0.0 && coupled > kCouplingRatioWarn * ground) {
         report.diagnostics.push_back(make_diagnostic(
             Code::coupling_dominates_ground,
             "'" + group.label_at(n) + "' section " + std::to_string(s),
@@ -444,11 +464,11 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
     for (std::size_t k = 0; k < group.size(); ++k) {
       const double coupling = group.coupling_capacitance_at(k);
       const double total = group.net_at(k).total_capacitance();
-      if (total > 0.0 && coupling > options.miller_coupling_ratio * total) {
+      if (total > 0.0 && coupling > kMillerCouplingRatio * total) {
         report.diagnostics.push_back(make_diagnostic(
             Code::miller_unsafe, "net '" + group.label_at(k) + "'",
             "coupling capacitance " + fmt(coupling) + " F exceeds " +
-                fmt(options.miller_coupling_ratio) + "x of its " + fmt(total) +
+                fmt(kMillerCouplingRatio) + "x of its " + fmt(total) +
                 " F total; Miller decoupling loses accuracy here",
             "validate this victim against the full coupled simulation "
             "(reference mode) before trusting the decoupled model"));
@@ -463,7 +483,7 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
       collect_sections(group.net_at(k).root(), all_sections);
       collect_loads(group.net_at(k).root(), all_loads);
     }
-    check_value_spread(all_sections, all_loads, options, report.diagnostics);
+    check_value_spread(all_sections, all_loads, report.diagnostics);
 
     ckt::Netlist netlist;
     std::vector<ckt::NodeId> from;
@@ -471,7 +491,7 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
     for (std::size_t k = 0; k < group.size(); ++k) {
       from.push_back(netlist.node("in_" + group.label_at(k)));
     }
-    (void)ckt::append_coupled_group(netlist, from, group, options.segments);
+    (void)ckt::append_coupled_group(netlist, from, group, kAdvisorySegments);
     advisory_for(netlist, report.diagnostics);
   }
   return report;
@@ -541,11 +561,11 @@ Report lint_netlist(const ckt::Netlist& netlist, const Options& options) {
     for (const auto& c : netlist.capacitors()) cs.push_back(c.capacitance);
     const double spread =
         std::max({value_range(rs), value_range(ls), value_range(cs)});
-    if (spread > options.dynamic_range_warn) {
+    if (spread > kDynamicRangeWarn) {
       report.diagnostics.push_back(make_diagnostic(
           Code::extreme_dynamic_range, "",
           "element values span a " + fmt(spread) + "x ratio (warn threshold " +
-              fmt(options.dynamic_range_warn) + "x)",
+              fmt(kDynamicRangeWarn) + "x)",
           "values this far apart risk pivot-threshold trouble in the LU; "
           "check the extraction for unit mistakes"));
     }

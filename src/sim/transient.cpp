@@ -30,6 +30,7 @@ constexpr std::size_t npos = detail::DevicePositions::npos;
 constexpr double newton_v_abstol = 1e-6;  // [V]
 constexpr double newton_rel_tol = 1e-6;
 constexpr double newton_damping_v = 0.6;  // max voltage change per iteration [V]
+constexpr int newton_max_iter = 100;
 
 // Dynamic state carried between time steps.
 struct CapacitorState {
@@ -101,10 +102,7 @@ public:
   // leaves the solution in x_ (also the initial Newton guess).
   void newton(double t, double h, const DynamicState& state, double gmin) {
     if (cached_) ensure_static(h, gmin);
-    const int max_newton = util::capped_iterations(
-        util::iter_defaults::newton,
-        opt_.budget ? opt_.budget->spec().max_newton_iter : 0);
-    for (int iter = 0; iter < max_newton; ++iter) {
+    for (int iter = 0; iter < newton_max_iter; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
       if (cached_) {
         // Restore the linear stamps by memcpy; only the MOSFET entries and
@@ -137,10 +135,6 @@ public:
       // Damped update keeps the MOSFET linearization inside its trust region.
       const double scale = std::min(1.0, newton_damping_v / max_dv);
       for (std::size_t k = 0; k < m_; ++k) x_[k] += scale * (x_new_[k] - x_[k]);
-    }
-    if (max_newton < util::iter_defaults::newton) {
-      throw BudgetError("transient: Newton iteration budget of " +
-                        std::to_string(max_newton) + " exhausted");
     }
     throw ConvergenceError("transient: Newton failed to converge");
   }

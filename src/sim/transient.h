@@ -66,10 +66,7 @@ struct TransientOptions {
   // loop charges every accepted time step against max_transient_steps and
   // every step/Newton iteration checkpoints the deadline and cancel token,
   // raising DeadlineError/BudgetError promptly instead of running the
-  // horizon out.  Newton runs at most capped_iterations(iter_defaults::
-  // newton, max_newton_iter) iterations and raises BudgetError (instead of
-  // ConvergenceError) when the budget was the binding cap.  Null (default)
-  // costs one branch per checkpoint.
+  // horizon out.  Null (default) costs one branch per checkpoint.
   util::ExecTracker* budget = nullptr;
   AssemblyMode assembly = AssemblyMode::cached;
   // Linear-solver override: `automatic` applies the selection heuristic (see

@@ -40,15 +40,6 @@ NetSimResult collect_net_result(const sim::TransientResult& res, ckt::NodeId out
   return result;
 }
 
-NetSimResult run_net_deck(ckt::Netlist& nl, ckt::NodeId out,
-                          const ckt::NetDeckNodes& nodes, double input_time_50,
-                          const DeckOptions& options) {
-  std::vector<ckt::NodeId> probes;
-  add_net_probes(probes, out, nodes);
-  const sim::TransientResult res = sim::simulate(nl, sim_options(options), probes);
-  return collect_net_result(res, out, nodes, input_time_50);
-}
-
 }  // namespace
 
 sim::TransientOptions sim_options(const DeckOptions& options) {
@@ -99,13 +90,10 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
                                  double input_slew, const net::Net& net,
                                  const DeckOptions& options) {
-  ckt::Netlist nl;
-  const ckt::NodeId in = nl.node("in");
-  const ckt::NodeId out = nl.node("out");
-  nl.add_vsource(in, ckt::ground, falling_input(tech, options.t_start, input_slew));
-  add_inverter(nl, tech, cell, in, out);
-  const ckt::NetDeckNodes nodes = ckt::append_net(nl, out, net, options.segments);
-  return run_net_deck(nl, out, nodes, options.t_start + 0.5 * input_slew, options);
+  const std::array<NetDrive, 1> drive{NetDrive{cell, input_slew, DriveEdge::rise}};
+  return std::move(
+      simulate_coupled_group(tech, drive, net::CoupledGroup::single(net), options)
+          .nets.front());
 }
 
 NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,

@@ -70,7 +70,8 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
                                         const DeckOptions& options,
                                         double* input_time_50 = nullptr);
 
-// Deck 2: driver into a discretized net::Net.
+// Deck 2: driver into a discretized net::Net — deck 4 below on the one-net
+// group with a rising driver output.
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
                                  double input_slew, const net::Net& net,
                                  const DeckOptions& options);
@@ -126,7 +127,7 @@ struct CoupledSimResult {
 // coupled "HSPICE" reference.  All switching inputs share the same t_start,
 // so aggressor and victim edges are aligned; each net's input_time_50 is its
 // own input's 50 % crossing (held inputs report t_start).  A group of one
-// net with DriveEdge::rise builds the exact deck simulate_driver_net builds.
+// net with DriveEdge::rise is simulate_driver_net's deck.
 CoupledSimResult simulate_coupled_group(const Technology& tech,
                                         std::span<const NetDrive> drives,
                                         const net::CoupledGroup& group,

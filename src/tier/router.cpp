@@ -5,8 +5,7 @@
 
 namespace rlceff::tier {
 
-Admission admit_analytical(const AnalyticalEstimate& estimate,
-                           const RouterOptions& options) {
+Admission admit_analytical(const AnalyticalEstimate& estimate) {
   if (estimate.model.criteria.significant()) {
     return {false, "inductance_significant"};
   }
@@ -15,14 +14,13 @@ Admission admit_analytical(const AnalyticalEstimate& estimate,
        !estimate.model.ceff2.converged)) {
     return {false, "fixed_point_stalled"};
   }
-  if (estimate.shielding < options.min_shielding) {
+  if (estimate.shielding < min_shielding) {
     return {false, "deep_shielding"};
   }
   return {};
 }
 
-Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim,
-                                 const RouterOptions& options) {
+Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim) {
   // Mutual inductance is deliberately NOT a refusal: the Miller-decoupled
   // victim that Tier A models is the same one Tier B models, and both drop
   // the mutual terms — escalating A -> B buys no accuracy there (measured on
@@ -33,7 +31,7 @@ Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t vic
   const double cc = group.coupling_capacitance_at(victim);
   if (cc > 0.0) {
     const double cg = group.net_at(victim).total_capacitance();
-    if (cc / (cc + cg) > options.max_coupling_fraction) {
+    if (cc / (cc + cg) > max_coupling_fraction) {
       return {false, "coupling_heavy"};
     }
   }
@@ -41,8 +39,7 @@ Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t vic
 }
 
 Admission admit_analytical_static(const net::Net& net, double driver_resistance,
-                                  double input_slew,
-                                  const RouterOptions& options) {
+                                  double input_slew) {
   const net::NetMetrics metrics = net.metrics_relaxed();
   if (metrics.time_of_flight > 0.0 && driver_resistance > 0.0 &&
       input_slew > 0.0) {
@@ -59,7 +56,7 @@ Admission admit_analytical_static(const net::Net& net, double driver_resistance,
         tau > 0.0 ? pi.c_near + pi.c_far * shield_factor(input_slew / tau)
                   : pi.c_total;
     const double shielding = pi.c_total > 0.0 ? shielded / pi.c_total : 1.0;
-    if (shielding < options.min_shielding) return {false, "deep_shielding"};
+    if (shielding < min_shielding) return {false, "deep_shielding"};
   }
   return {};
 }

@@ -24,7 +24,8 @@
 // admit_analytical screens a computed estimate (the engine path);
 // admit_analytical_static screens from the topology plus the caller's driver
 // context alone — no cell tables — using the input slew as the transition
-// proxy, which is what lint::solver_advisory runs before any solve exists.
+// proxy, which is what lint's tier pass (check_net_tier, Code::tier_advisory)
+// runs before any solve exists.
 #ifndef RLCEFF_TIER_ROUTER_H
 #define RLCEFF_TIER_ROUTER_H
 
@@ -39,10 +40,10 @@ class CoupledGroup;
 
 namespace rlceff::tier {
 
-struct RouterOptions {
-  double min_shielding = 0.05;         // Ceff/Ctotal floor for Tier A
-  double max_coupling_fraction = 0.4;  // Cc/(Cc+Cg) ceiling for coupled Tier A
-};
+// Tier A admission thresholds: the Ceff / Ctotal floor, and the
+// Cc / (Cc + Cg) ceiling for a coupled victim.
+inline constexpr double min_shielding = 0.05;
+inline constexpr double max_coupling_fraction = 0.4;
 
 struct Admission {
   bool ok = true;
@@ -55,20 +56,17 @@ struct Admission {
 
 // Tier A screen on a computed estimate (single-net part; coupled requests
 // additionally pass the group screen below for the victim).
-Admission admit_analytical(const AnalyticalEstimate& estimate,
-                           const RouterOptions& options = {});
+Admission admit_analytical(const AnalyticalEstimate& estimate);
 
 // The coupled-group part of the Tier A screen for one victim.
-Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim,
-                                 const RouterOptions& options = {});
+Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim);
 
 // Table-free screen for static analysis: same predicates, with the input
 // slew standing in for the driver output transition (rs likewise an
 // estimate, e.g. lint::estimate_driver_resistance).  Pass
 // driver_resistance <= 0 to skip the criteria predicate (no driver context).
 Admission admit_analytical_static(const net::Net& net, double driver_resistance,
-                                  double input_slew,
-                                  const RouterOptions& options = {});
+                                  double input_slew);
 
 // The tier a policy routes to given the Tier A admission verdict — the one
 // policy table api::Engine and lint share.  Balanced and fastest take

@@ -1,14 +1,15 @@
-// Cooperative execution budgets: deadlines, step/iteration budgets, and
+// Cooperative execution budgets: deadlines, a transient step budget, and
 // cancellation for the whole stack.
 //
 // An ExecBudget is the declarative spec a caller attaches to a request: an
-// optional wall-clock limit, a transient step budget, per-loop iteration
-// sub-budgets, and an optional CancelToken.  An ExecTracker arms that spec
-// at slot start and is threaded *by pointer* down through the option structs
-// (api::Request -> sim::TransientOptions / core::CeffIterationOptions /
-// util::FixedPointOptions / util::SolveOptions); the step and iteration
-// loops call its cheap checkpoints so an exceeded budget surfaces as a
-// DeadlineError / BudgetError promptly instead of running the loop out.
+// optional wall-clock limit, a budget of accepted transient steps, and an
+// optional CancelToken.  An ExecTracker arms that spec at slot start and is
+// threaded *by pointer* down through the option structs (api::Request ->
+// sim::TransientOptions / core::CeffIterationOptions /
+// util::FixedPointOptions); the step and iteration loops call its cheap
+// checkpoints so an expired deadline or a fired token surfaces as a
+// DeadlineError / CancelledError promptly, and an exhausted step budget as a
+// BudgetError, instead of running the loop out.
 //
 // Cost contract: with no budget attached (the default everywhere) every
 // checkpoint is a single predictable branch, so unbudgeted runs are
@@ -16,14 +17,9 @@
 // checkpoints sit at loop granularity (one transient step, one Newton or
 // fixed-point iteration), each of which costs far more than a clock read.
 //
-// Iteration-cap precedence (the library's one shared vocabulary for loop
-// ceilings, see iter_defaults below): every iterative loop runs at most
-//   min(its per-call option max_iter, every applicable positive sub-budget)
-// iterations.  When the *budget* is the binding cap and the loop still has
-// not converged, the loop raises BudgetError (resource exhaustion); when the
-// per-call option is binding, the loop keeps its historical behavior
-// (ConvergenceError from brent/Newton, a converged=false result from the
-// Ceff fixed points).
+// Iteration ceilings are not budgeted: each iterative loop keeps its own
+// fixed cap and reports running out as non-convergence (ConvergenceError
+// from brent/Newton, a converged = false result from the Ceff fixed points).
 //
 // Threading: one ExecTracker belongs to one slot and is checked from that
 // slot's worker thread only.  The CancelToken is the only cross-thread
@@ -49,8 +45,8 @@ public:
   explicit DeadlineError(const std::string& what) : Error(what) {}
 };
 
-// Raised when a countable resource budget (transient steps, iteration
-// sub-budgets) is exhausted.  Maps to api::ErrorCode::resource_exhausted.
+// Raised when the transient step budget is exhausted.  Maps to
+// api::ErrorCode::resource_exhausted.
 class BudgetError : public Error {
 public:
   explicit BudgetError(const std::string& what) : Error(what) {}
@@ -95,38 +91,15 @@ private:
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-// The default iteration ceilings of every iterative loop in the library, in
-// one place (they used to be unrelated magic numbers in three headers).
-// These are the *per-call option* defaults; ExecBudget sub-budgets can only
-// tighten them (see the precedence note at the top of this header).
-namespace iter_defaults {
-inline constexpr int brent = 200;        // util::SolveOptions::max_iter
-inline constexpr int fixed_point = 100;  // util::FixedPointOptions::max_iter
-inline constexpr int ceff = 60;          // core::CeffIterationOptions::max_iter
-inline constexpr int newton = 100;       // sim/transient.cpp Newton loop
-}  // namespace iter_defaults
-
-// min(base, every positive cap); caps <= 0 mean "no cap".
-inline int capped_iterations(int base, int cap1 = 0, int cap2 = 0) {
-  int m = base;
-  if (cap1 > 0 && cap1 < m) m = cap1;
-  if (cap2 > 0 && cap2 < m) m = cap2;
-  return m;
-}
-
 // Declarative budget spec.  Zero / negative limits and a null token mean
 // "unlimited" for that dimension; a default ExecBudget is fully unlimited.
 struct ExecBudget {
   double wall_limit_s = 0.0;             // wall-clock limit from arm time
   std::int64_t max_transient_steps = 0;  // accepted time steps across all sims
-  int max_ceff_iter = 0;                 // per Ceff <-> table fixed point
-  int max_newton_iter = 0;               // per Newton solve
-  int max_solver_iter = 0;               // per util::brent / util::fixed_point
   CancelToken cancel;
 
   bool limited() const {
-    return wall_limit_s > 0.0 || max_transient_steps > 0 || max_ceff_iter > 0 ||
-           max_newton_iter > 0 || max_solver_iter > 0 || cancel.valid();
+    return wall_limit_s > 0.0 || max_transient_steps > 0 || cancel.valid();
   }
 };
 

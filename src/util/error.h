@@ -20,7 +20,7 @@ public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Raised when an iterative method fails to converge within its budget.
+// Raised when an iterative method fails to converge within its iteration cap.
 class ConvergenceError : public Error {
 public:
   explicit ConvergenceError(const std::string& what) : Error(what) {}

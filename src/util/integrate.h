@@ -10,15 +10,10 @@
 
 namespace rlceff::util {
 
-struct QuadratureOptions {
-  double rel_tol = 1e-10;
-  double abs_tol = 1e-18;
-  int max_depth = 40;
-};
-
-// Adaptive Simpson integration of f over [a, b].
-double integrate(const std::function<double(double)>& f, double a, double b,
-                 const QuadratureOptions& opt = {});
+// Adaptive Simpson integration of f over [a, b]; each panel is split until
+// its Richardson error is within max(1e-18, 1e-10 * |panel|), at most 40
+// levels deep.
+double integrate(const std::function<double(double)>& f, double a, double b);
 
 }  // namespace rlceff::util
 

@@ -7,8 +7,15 @@
 
 namespace rlceff::util {
 
-double brent(const std::function<double(double)>& f, double a, double b,
-             const SolveOptions& opt) {
+namespace {
+
+constexpr double kBrentXTol = 1e-12;
+constexpr double kBrentFTol = 1e-14;
+constexpr int kBrentMaxIter = 200;
+
+}  // namespace
+
+double brent(const std::function<double(double)>& f, double a, double b) {
   double fa = f(a);
   double fb = f(b);
   ensure(fa * fb <= 0.0, "brent: root not bracketed");
@@ -20,10 +27,7 @@ double brent(const std::function<double(double)>& f, double a, double b,
   double d = b - a;
   double e = d;
 
-  const int max_iter = capped_iterations(
-      opt.max_iter, opt.budget ? opt.budget->spec().max_solver_iter : 0);
-  for (int iter = 0; iter < max_iter; ++iter) {
-    if (opt.budget) opt.budget->check("brent");
+  for (int iter = 0; iter < kBrentMaxIter; ++iter) {
     if (std::abs(fc) < std::abs(fb)) {
       a = b;
       b = c;
@@ -33,9 +37,9 @@ double brent(const std::function<double(double)>& f, double a, double b,
       fc = fa;
     }
     const double tol = 2.0 * std::numeric_limits<double>::epsilon() * std::abs(b) +
-                       0.5 * opt.x_tol;
+                       0.5 * kBrentXTol;
     const double m = 0.5 * (c - b);
-    if (std::abs(m) <= tol || std::abs(fb) <= opt.f_tol) return b;
+    if (std::abs(m) <= tol || std::abs(fb) <= kBrentFTol) return b;
 
     if (std::abs(e) >= tol && std::abs(fa) > std::abs(fb)) {
       // Inverse quadratic interpolation (secant when only two points differ).
@@ -75,10 +79,6 @@ double brent(const std::function<double(double)>& f, double a, double b,
       e = d;
     }
   }
-  if (max_iter < opt.max_iter) {
-    throw BudgetError("brent: iteration budget of " + std::to_string(max_iter) +
-                      " exhausted");
-  }
   throw ConvergenceError("brent: too many iterations");
 }
 
@@ -86,9 +86,7 @@ FixedPointResult fixed_point(const std::function<double(double)>& g, double x0,
                              const FixedPointOptions& opt) {
   FixedPointResult res;
   double x = std::clamp(x0, opt.lower, opt.upper);
-  const int max_iter = capped_iterations(
-      opt.max_iter, opt.budget ? opt.budget->spec().max_solver_iter : 0);
-  for (int iter = 1; iter <= max_iter; ++iter) {
+  for (int iter = 1; iter <= opt.max_iter; ++iter) {
     if (opt.budget) opt.budget->check("fixed_point");
     const double gx = g(x);
     double x_new = x + opt.damping * (gx - x);
@@ -101,10 +99,6 @@ FixedPointResult fixed_point(const std::function<double(double)>& g, double x0,
       return res;
     }
     x = x_new;
-  }
-  if (max_iter < opt.max_iter) {
-    throw BudgetError("fixed_point: iteration budget of " +
-                      std::to_string(max_iter) + " exhausted");
   }
   res.x = x;
   res.converged = false;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -16,6 +17,7 @@
 #include "net/net.h"
 #include "tech/technology.h"
 #include "tech/wire.h"
+#include "tier/router.h"
 #include "util/units.h"
 
 namespace rlceff::lint {
@@ -391,7 +393,7 @@ TEST(LintModel, MillerUnsafe) {
 }
 
 TEST(LintModel, ConvergenceRiskNearRegimeBoundary) {
-  // Tr1 = 100 ps against 2*tf = 98 ps: within the default 10% margin.
+  // Tr1 = 100 ps against 2*tf = 98 ps: within the 10% margin.
   const net::Net net = net::Net::uniform_line(120.0, 4 * nh, 600 * ff, 20 * ff);
   Options at_boundary;
   at_boundary.driver_resistance = estimate_driver_resistance(cmos180(), 75.0);
@@ -405,6 +407,73 @@ TEST(LintModel, ConvergenceRiskNearRegimeBoundary) {
   away.driver_resistance = at_boundary.driver_resistance;
   away.input_slew = 300 * ps;
   EXPECT_FALSE(lint_net(net, away).has(Code::convergence_risk));
+}
+
+// ------------------------------------------------------- tier: prediction ---
+
+std::size_t count_code(const Report& report, Code code) {
+  return static_cast<std::size_t>(
+      std::count_if(report.diagnostics.begin(), report.diagnostics.end(),
+                    [&](const Diagnostic& d) { return d.code == code; }));
+}
+
+TEST(LintTier, PredictsTheRoutedTierAndFlagsARefusedPin) {
+  // The Tier A admission thresholds the static screen shares with the engine.
+  EXPECT_DOUBLE_EQ(0.05, tier::min_shielding);
+  EXPECT_DOUBLE_EQ(0.4, tier::max_coupling_fraction);
+
+  // A short RC line: no flight time for Eq 9, shielding near 1 — tier A.
+  const net::Net rc = net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff);
+  Options balanced;
+  balanced.driver_resistance = estimate_driver_resistance(cmos180(), 75.0);
+  balanced.input_slew = 100 * ps;
+  balanced.tier_policy = tier::TierPolicy::balanced;
+  const Report admitted = lint_net(rc, balanced);
+  ASSERT_EQ(1u, count_code(admitted, Code::tier_advisory));
+  const Diagnostic& a = *admitted.find(Code::tier_advisory);
+  EXPECT_EQ(Severity::info, a.severity);
+  EXPECT_NE(std::string::npos, a.message.find("tier a (analytical)")) << a.message;
+  EXPECT_EQ(std::string::npos, a.message.find("refuses")) << a.message;
+  EXPECT_FALSE(admitted.has(Code::tier_pinned_mismatch));
+
+  // 10 kOhm into 1 pF at a 10 ps slew: Ceff / Ctotal ~ 5e-4, far below the
+  // shielding floor.  Pinning tier A anyway is a warning naming the refusal.
+  const net::Net shielded = net::Net::multi_section(
+      {net::Section{10 * kohm, 0.0, 10 * ff, net::SectionKind::lumped}}, 1 * pf);
+  Options pinned;
+  pinned.driver_resistance = balanced.driver_resistance;
+  pinned.input_slew = 10 * ps;
+  pinned.tier_policy = tier::TierPolicy::force_analytical;
+  const Report mismatch = lint_net(shielded, pinned);
+  ASSERT_EQ(1u, count_code(mismatch, Code::tier_advisory));
+  EXPECT_NE(std::string::npos,
+            mismatch.find(Code::tier_advisory)->message.find("tier a (analytical)"));
+  ASSERT_TRUE(mismatch.has(Code::tier_pinned_mismatch));
+  const Diagnostic& m = *mismatch.find(Code::tier_pinned_mismatch);
+  EXPECT_EQ(Severity::warn, m.severity);
+  EXPECT_NE(std::string::npos, m.message.find("deep_shielding")) << m.message;
+
+  // Table 1's 5 mm / 1.6 um line behind a 100X driver holds all four Eq 9
+  // screens: balanced routes it to tier B and says why.
+  const tech::WireModel wires;
+  const net::Net line = tech::line_net(wires.extract({5.0 * mm, 1.6 * um}), 20 * ff);
+  Options inductive = balanced;
+  inductive.driver_resistance = estimate_driver_resistance(cmos180(), 100.0);
+  const Report escalated = lint_net(line, inductive);
+  ASSERT_EQ(1u, count_code(escalated, Code::tier_advisory));
+  const Diagnostic& b = *escalated.find(Code::tier_advisory);
+  EXPECT_NE(std::string::npos, b.message.find("tier b (ceff)")) << b.message;
+  EXPECT_NE(std::string::npos, b.message.find("inductance_significant")) << b.message;
+  EXPECT_FALSE(escalated.has(Code::tier_pinned_mismatch));
+
+  // The default policy runs no cascade, so there is nothing to predict.
+  Options unrouted = pinned;
+  unrouted.tier_policy = tier::TierPolicy::reference;
+  for (const net::Net* net : {&rc, &shielded, &line}) {
+    const Report report = lint_net(*net, unrouted);
+    EXPECT_FALSE(report.has(Code::tier_advisory));
+    EXPECT_FALSE(report.has(Code::tier_pinned_mismatch));
+  }
 }
 
 // --------------------------- consolidated construction-time validation ---
